@@ -6,22 +6,26 @@ build:
 	$(GO) build ./...
 
 # The default test path vets first and includes the targeted race pass, so
-# `make test` alone gives the full tier-1 signal.
+# `make test` alone gives the full tier-1 signal. simcost/ is its own module,
+# so `go test ./...` never compiles it; testing it here keeps an API change
+# from silently breaking the benchmark.
 test: vet
 	$(GO) test ./...
+	cd simcost && $(GO) test ./...
 	$(MAKE) race
 	$(MAKE) bench-smoke
 
 # Race-checks the worker pool, the kernel/buffer-pool hot paths it drives,
-# and the fault-injection/recovery machinery (including the controller
-# crash-recovery ladder and its multi-queue/ring-wrap variants).
+# the fault-injection/recovery machinery (including the controller
+# crash-recovery ladder and its multi-queue/ring-wrap variants), and the
+# facade's error paths.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/...
 	$(GO) test -race -run 'Fault|Retry|Timeout|CQE|Crash|Breaker|Death|CFS|Degraded|Span|Wrap|MultiQueue|Tenant' ./internal/streamer/
 	$(GO) test -race -run 'KernelWorkers' ./internal/casestudy/ .
 	$(GO) test -race -run 'TestParallelDeterminism|TestKernelSweep' ./internal/bench/
 	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'TestClusterRandomizedDataIntegrity' .
+	$(GO) test -race -run 'TestClusterRandomizedDataIntegrity|TestHandleRejectsWithoutPanic|TestTenantFacadeGuards' .
 
 vet:
 	$(GO) vet ./...

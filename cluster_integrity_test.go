@@ -67,13 +67,13 @@ func runClusterIntegrity(t *testing.T, replication, workers int) uint64 {
 				for i := range data {
 					data[i] = byte(rng.Int63n(256))
 				}
-				if err := h.WriteErr(addr, data); err != nil {
+				if err := h.Write(addr, data); err != nil {
 					failure = fmt.Sprintf("op %d: write %d@%#x: %v", op, n, addr, err)
 					return
 				}
 				copy(shadow[addr:], data)
 			} else {
-				got, err := h.ReadErr(addr, n)
+				got, err := h.Read(addr, n)
 				if err != nil {
 					failure = fmt.Sprintf("op %d: read %d@%#x: %v", op, n, addr, err)
 					return
@@ -85,7 +85,7 @@ func runClusterIntegrity(t *testing.T, replication, workers int) uint64 {
 				}
 			}
 		}
-		got, err := h.ReadErr(0, span)
+		got, err := h.Read(0, span)
 		if err != nil {
 			failure = fmt.Sprintf("final readback: %v", err)
 			return

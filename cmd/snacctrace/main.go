@@ -159,12 +159,17 @@ func runSpans(v streamer.Variant, op string, sizeMiB int64, nspans int) {
 		// Retain every span: one command per MiB each way, plus slack.
 		Trace: &snacc.TraceOptions{SpanLimit: int(2*sizeMiB) + 16},
 	})
+	var ioErr error
 	sys.Execute(func(h *snacc.Handle) {
-		h.WriteTimed(0, sizeMiB*sim.MiB)
-		if op == "read" {
-			h.ReadTimed(0, sizeMiB*sim.MiB)
+		ioErr = h.WriteTimed(0, sizeMiB*sim.MiB)
+		if ioErr == nil && op == "read" {
+			ioErr = h.ReadTimed(0, sizeMiB*sim.MiB)
 		}
 	})
+	if ioErr != nil {
+		fmt.Fprintln(os.Stderr, ioErr)
+		os.Exit(1)
+	}
 
 	all := sys.Spans()
 	var sel []snacc.Span

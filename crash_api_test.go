@@ -49,7 +49,7 @@ func runCrashIntegrity(t *testing.T, opts Options) {
 				h.Write(addr, data)
 				copy(shadow[addr:], data)
 			} else {
-				got := h.Read(addr, n)
+				got := mustRead(t, h, addr, n)
 				want := shadow[addr : addr+uint64(n)]
 				if !bytes.Equal(got, want) {
 					failure = fmt.Sprintf("op %d: read %d@%#x diverged from shadow (first diff at %d)",
@@ -58,7 +58,7 @@ func runCrashIntegrity(t *testing.T, opts Options) {
 				}
 			}
 		}
-		got := h.Read(0, span)
+		got := mustRead(t, h, 0, span)
 		if !bytes.Equal(got, shadow) {
 			failure = fmt.Sprintf("final readback diverged at byte %d", firstDiff(got, shadow))
 		}
@@ -123,7 +123,7 @@ func TestSurpriseRemovalTerminal(t *testing.T) {
 	sys := MustNewSystem(Options{Faults: &FaultOptions{RemoveAtCommand: 4}})
 	sawErr := false
 	sys.Execute(func(h *Handle) {
-		if err := h.WriteErr(0, make([]byte, 8<<20)); err != nil {
+		if err := h.Write(0, make([]byte, 8<<20)); err != nil {
 			sawErr = true
 		}
 	})

@@ -14,9 +14,12 @@ func ExampleSystem_Execute() {
 	sys := snacc.MustNewSystem(snacc.Options{Variant: snacc.URAM})
 	payload := bytes.Repeat([]byte{0x42}, 4096)
 	sys.Execute(func(h *snacc.Handle) {
-		h.Write(0, payload)
-		back := h.Read(0, 4096)
-		fmt.Println("intact:", bytes.Equal(back, payload))
+		if err := h.Write(0, payload); err != nil {
+			fmt.Println("write:", err)
+			return
+		}
+		back, err := h.Read(0, 4096)
+		fmt.Println("intact:", err == nil && bytes.Equal(back, payload))
 	})
 	st := sys.Stats()
 	fmt.Println("commands retired:", st.CommandsRetired, "errors:", st.CommandErrors)

@@ -46,7 +46,9 @@ func (kv *kvStore) put(key string, value []byte) {
 	padded := (int64(len(rec)) + recordAlign - 1) &^ (recordAlign - 1)
 	buf := make([]byte, padded)
 	copy(buf, rec)
-	kv.h.Write(kv.cursor, buf)
+	if err := kv.h.Write(kv.cursor, buf); err != nil {
+		log.Fatalf("put %s: %v", key, err)
+	}
 	kv.index[key] = indexEntry{off: kv.cursor, size: padded}
 	kv.cursor += uint64(padded)
 	kv.puts++
@@ -57,7 +59,10 @@ func (kv *kvStore) get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	raw := kv.h.Read(e.off, e.size)
+	raw, err := kv.h.Read(e.off, e.size)
+	if err != nil {
+		log.Fatalf("get %s: %v", key, err)
+	}
 	klen := binary.LittleEndian.Uint64(raw[0:])
 	vlen := binary.LittleEndian.Uint64(raw[8:])
 	return raw[16+klen : 16+klen+vlen], true

@@ -22,7 +22,7 @@ func TestFaultAPIRecoversInjectedErrors(t *testing.T) {
 		h.Write(0, want)
 		// Read repeatedly so the 20% rate is certain to fire.
 		for i := 0; i < 8; i++ {
-			got, err := h.ReadErr(0, int64(len(want)))
+			got, err := h.Read(0, int64(len(want)))
 			if err != nil {
 				t.Fatalf("read %d failed terminally: %v", i, err)
 			}
@@ -59,7 +59,7 @@ func TestFaultAPIZeroRetriesAborts(t *testing.T) {
 	sys.Execute(func(h *Handle) {
 		block := make([]byte, 4096)
 		h.Write(0, block)
-		got, err := h.ReadErr(0, 4096)
+		got, err := h.Read(0, 4096)
 		if err == nil {
 			t.Fatal("certain read failure with no retries returned success")
 		}

@@ -55,7 +55,7 @@ func runIntegrity(t *testing.T, opts Options) {
 				h.Write(addr, data)
 				copy(shadow[addr:], data)
 			} else {
-				got := h.Read(addr, n)
+				got := mustRead(t, h, addr, n)
 				want := shadow[addr : addr+uint64(n)]
 				if !bytes.Equal(got, want) {
 					failure = fmt.Sprintf("op %d: read %d@%#x diverged from shadow (first diff at %d)",
@@ -65,7 +65,7 @@ func runIntegrity(t *testing.T, opts Options) {
 			}
 		}
 		// Final full-window readback.
-		got := h.Read(0, span)
+		got := mustRead(t, h, 0, span)
 		if !bytes.Equal(got, shadow) {
 			failure = fmt.Sprintf("final readback diverged at byte %d", firstDiff(got, shadow))
 		}

@@ -16,7 +16,7 @@ func benchmarkStreamerRead(b *testing.B, ioBytes int64) {
 	rig := buildSNAcc(streamer.URAM, nil, nil)
 	run := func() {
 		rig.measure(func(p *sim.Proc) {
-			rig.c.Read(p, 0, ioBytes)
+			rig.c.ReadErr(p, 0, ioBytes)
 		})
 	}
 	run() // warm the rig (queues created, pools primed)
@@ -48,7 +48,7 @@ func BenchmarkStreamerRead4KMultiQueue(b *testing.B) {
 	}, nil)
 	run := func() {
 		rig.measure(func(p *sim.Proc) {
-			rig.c.Read(p, 0, 64*sim.KiB)
+			rig.c.ReadErr(p, 0, 64*sim.KiB)
 		})
 	}
 	run() // warm the rig (queues created, pools primed, dbSlots grown)

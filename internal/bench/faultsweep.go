@@ -69,17 +69,10 @@ func FaultSweep(ratesPct []float64, totalBytes int64) []FaultSweepRow {
 }
 
 // faultSeqRead measures one large sequential read under fault injection,
-// returning the bytes actually delivered and the elapsed time. SeqRead cannot
-// be used here: it insists on full delivery and would wait forever for bytes
-// an aborted command never produces. ConsumeReadErr instead follows the TLAST
-// framing, which aborted pieces preserve via zero-byte flagged packets.
+// returning the bytes actually delivered (SeqRead follows the TLAST framing,
+// which aborted pieces preserve) and the elapsed time.
 func faultSeqRead(rig *snaccRig, addr uint64, total int64) streamer.PerfResult {
 	var res streamer.PerfResult
-	rig.measure(func(p *sim.Proc) {
-		start := p.Now()
-		rig.c.ReadAsync(p, addr, total)
-		got, _, _ := rig.c.ConsumeReadErr(p)
-		res = streamer.PerfResult{Bytes: got, Elapsed: p.Now() - start}
-	})
+	rig.measure(func(p *sim.Proc) { res = streamer.SeqRead(p, rig.c, addr, total) })
 	return res
 }

@@ -101,7 +101,7 @@ func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
 	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
 	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
 	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	backend := serve.NewStreamerBackend(streamer.NewClient(st))
+	backend := streamer.NewClient(st)
 
 	var tier *serve.Tier
 	var err error

@@ -104,14 +104,14 @@ func (r *tenantRig) drain() {
 }
 
 // victimLoop issues ops paced 4 KiB random reads and returns via elapsed.
-func victimLoop(c *streamer.TenantClient, ops int, elapsed *sim.Time) func(p *sim.Proc) {
+func victimLoop(c *streamer.Client, ops int, elapsed *sim.Time) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		rnd := sim.NewRand(11)
 		slots := int(tenantWindowBytes / victimIOBytes)
 		start := p.Now()
 		for i := 0; i < ops; i++ {
 			addr := uint64(int64(rnd.Intn(slots)) * victimIOBytes)
-			c.Read(p, addr, victimIOBytes)
+			c.ReadErr(p, addr, victimIOBytes)
 			p.Sleep(victimGap)
 		}
 		*elapsed = p.Now() - start
@@ -120,7 +120,7 @@ func victimLoop(c *streamer.TenantClient, ops int, elapsed *sim.Time) func(p *si
 
 // noisyLoop fires bursts of 64 KiB reads, keeping up to noisyDepth commands
 // outstanding, and returns via elapsed.
-func noisyLoop(c *streamer.TenantClient, ops int, elapsed *sim.Time) func(p *sim.Proc) {
+func noisyLoop(c *streamer.Client, ops int, elapsed *sim.Time) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		rnd := sim.NewRand(23)
 		slots := int(tenantWindowBytes / noisyIOBytes)
@@ -133,18 +133,18 @@ func noisyLoop(c *streamer.TenantClient, ops int, elapsed *sim.Time) func(p *sim
 			}
 			for i := 0; i < b; i++ {
 				addr := uint64(int64(rnd.Intn(slots)) * noisyIOBytes)
-				c.ReadAsync(p, addr, noisyIOBytes)
+				c.ReadAsync(p, 0, addr, noisyIOBytes)
 			}
 			issued += b
 			inflight += b
 			for inflight > noisyDepth {
-				c.ConsumeRead(p)
+				c.ReadDone(p, 0)
 				inflight--
 			}
 			p.Sleep(noisyGap)
 		}
 		for ; inflight > 0; inflight-- {
-			c.ConsumeRead(p)
+			c.ReadDone(p, 0)
 		}
 		*elapsed = p.Now() - start
 	}

@@ -57,7 +57,7 @@ func RunSNAccStriped(n int, cfg Config) Result {
 		done := sim.NewChan[struct{}](k, 1)
 		k.Spawn("dbtokens", func(tp *sim.Proc) {
 			for i := 0; i < cfg.Images; i++ {
-				striped.WaitWrite(tp)
+				striped.WriteDone(tp, 0)
 			}
 			end = tp.Now()
 			done.TryPut(struct{}{})
@@ -72,7 +72,7 @@ func RunSNAccStriped(n int, cfg Config) Result {
 					copy(payload, it.data)
 					copy(payload[perImage-cfg.RecordBytes:], it.record)
 				}
-				striped.WriteAsync(dp, cursor, perImage, payload)
+				striped.WriteAsync(dp, 0, cursor, perImage, payload)
 				cursor += uint64(stride)
 			}
 		})

@@ -88,7 +88,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 		doneC := sim.NewChan[struct{}](k, 1)
 		k.Spawn("dbtokens", func(tp *sim.Proc) {
 			for i := 0; i < cfg.Images; i++ {
-				c.WaitWrite(tp)
+				c.WriteDone(tp, 0)
 				if i < len(sentAt) {
 					lat.Add(tp.Now() - sentAt[i])
 				}
@@ -109,7 +109,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 				copy(payload, it.data)
 				copy(payload[perImage-cfg.RecordBytes:], it.record)
 			}
-			c.WriteAsync(p, cursor, perImage, payload)
+			c.WriteAsync(p, 0, cursor, perImage, payload)
 			cursor += uint64(perImage)
 		}
 		doneC.Get(p)

@@ -377,7 +377,7 @@ func contains(set []int, nd int) bool {
 
 func (co *coordinator) write(p *sim.Proc, addr uint64, n int64, data []byte) error {
 	if addr%512 != 0 || n%512 != 0 {
-		panic(fmt.Sprintf("cluster: transfer %d@%#x not 512-aligned", n, addr))
+		return fmt.Errorf("cluster: transfer %d@%#x not 512-aligned", n, addr)
 	}
 	var firstErr error
 	chunkB := uint64(co.cfg.ChunkBytes)
@@ -517,7 +517,7 @@ func (co *coordinator) writePiece(p *sim.Proc, key int64, addr uint64, n int64, 
 
 func (co *coordinator) read(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
 	if addr%512 != 0 || n%512 != 0 {
-		panic(fmt.Sprintf("cluster: transfer %d@%#x not 512-aligned", n, addr))
+		return nil, fmt.Errorf("cluster: transfer %d@%#x not 512-aligned", n, addr)
 	}
 	var out []byte
 	if co.cfg.Functional {

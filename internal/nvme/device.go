@@ -216,11 +216,10 @@ type Device struct {
 	fetchRR    int
 
 	// Failure model.
-	mode        CtrlMode
-	fatalReason string
-	resetGen    uint64 // invalidates ready/shutdown timers across resets
-	hangGen     uint64 // invalidates stale revive timers
-	hungWait    []func() // completions parked while hung
+	mode     CtrlMode
+	resetGen uint64   // invalidates ready/shutdown timers across resets
+	hangGen  uint64   // invalidates stale revive timers
+	hungWait []func() // completions parked while hung
 
 	// faultInjector, when set, can force a failure status for an I/O
 	// command before execution (tests and failure-injection experiments).
@@ -306,9 +305,6 @@ func (d *Device) CQEsLost() int64 { return d.cqesLost }
 // Mode returns the controller's failure-model state.
 func (d *Device) Mode() CtrlMode { return d.mode }
 
-// FatalReason describes the most recent fatal-status latch ("" if none).
-func (d *Device) FatalReason() string { return d.fatalReason }
-
 // ControllerCrashes counts CSTS.CFS latches (injected or protocol-driven).
 func (d *Device) ControllerCrashes() int64 { return d.ctrlCrashes }
 
@@ -317,7 +313,7 @@ func (d *Device) ControllerHangs() int64 { return d.ctrlHangs }
 
 // Crash latches the controller fatal status (CSTS.CFS): the device stops
 // fetching SQEs and posting CQEs until the host resets it.
-func (d *Device) Crash() { d.fatal("host-injected controller crash") }
+func (d *Device) Crash() { d.fatal() }
 
 // Hang freezes the command engine for dur: fetched commands park their
 // completions and no new SQEs are fetched. The controller revives on its
@@ -348,12 +344,11 @@ func (d *Device) Remove() {
 // fatal latches CSTS.CFS and enters the crashed mode. Completions parked
 // during a hang are flushed through the discard path so their execution
 // contexts recycle.
-func (d *Device) fatal(reason string) {
+func (d *Device) fatal() {
 	if d.mode == ModeRemoved || d.mode == ModeCrashed {
 		return
 	}
 	d.ctrlCrashes++
-	d.fatalReason = reason
 	d.mode = ModeCrashed
 	d.csts |= CSTSFatal
 	d.resetGen++
@@ -527,7 +522,7 @@ func (d *Device) regWrite(off uint64, data []byte) {
 		// Unmodeled register: a real controller treats this as an
 		// unrecoverable protocol violation — latch the fatal status the
 		// host can observe instead of killing the simulation.
-		d.fatal(fmt.Sprintf("write to unmodeled register %#x", off))
+		d.fatal() // write to an unmodeled register
 	}
 }
 
@@ -566,7 +561,7 @@ func (d *Device) regRead(off uint64, buf []byte) {
 		for i := range buf {
 			buf[i] = 0
 		}
-		d.fatal(fmt.Sprintf("read of unmodeled register %#x", off))
+		d.fatal() // read of an unmodeled register
 	}
 }
 
@@ -643,12 +638,12 @@ func (d *Device) doorbell(off uint64, data []byte) {
 	if !ok {
 		// Protocol violation by the host: latch the fatal status the host
 		// can observe rather than killing the simulation.
-		d.fatal(fmt.Sprintf("doorbell for unknown queue %d", qid))
+		d.fatal() // doorbell for an unknown queue
 		return
 	}
 	val := int(le32(data))
 	if val < 0 || val >= q.entries {
-		d.fatal(fmt.Sprintf("doorbell value %d out of range for %d-entry queue", val, q.entries))
+		d.fatal() // doorbell value past the queue size
 		return
 	}
 	if isCQ {
@@ -663,9 +658,6 @@ func (d *Device) doorbell(off uint64, data []byte) {
 	q.sqTailDB = val
 	d.kickAll()
 }
-
-// debugTrace, when set, receives fetch trace events (tests only).
-var debugTrace func(what string, qid uint16, head, batch, tail int)
 
 // kickAll runs the fetch scheduler: while the device-global fetch-read
 // budget has credit, scan the queue IDs round-robin from the persistent
@@ -712,9 +704,6 @@ func (d *Device) fetchOne(q *queuePair) {
 	fetchHead := q.issueHead
 	q.issueHead = (fetchHead + batch) % q.entries
 	d.fetchReads++
-	if debugTrace != nil {
-		debugTrace("fetch", q.id, fetchHead, batch, q.sqTailDB)
-	}
 	// Fetch buffers recycle through the pool: the completer fills buf
 	// before the callback runs, and every SQE is decoded into a value
 	// before the buffer is released.
@@ -792,7 +781,7 @@ func (d *Device) complete(q *queuePair, cmd Command, status uint16, dw0 uint32) 
 			d.discard(q, cmd)
 			return
 		case f.Crash:
-			d.fatal("injected controller crash")
+			d.fatal() // injected controller crash
 			d.discard(q, cmd)
 			return
 		case f.Hang > 0:
@@ -932,6 +921,3 @@ func (g *callbackGate) release() {
 	}
 	g.avail++
 }
-
-// SetDebugTrace installs a fetch-trace hook (tests only).
-func SetDebugTrace(fn func(what string, qid uint16, head, batch, tail int)) { debugTrace = fn }

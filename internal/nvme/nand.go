@@ -85,9 +85,6 @@ type NAND struct {
 	epochSlow     bool
 
 	store *pcie.SparseMem
-
-	// Stats.
-	dieReads, stripedReads, programs int64
 }
 
 // NewNAND builds a flash backend.
@@ -117,14 +114,6 @@ func (nd *NAND) Config() NANDConfig { return nd.cfg }
 // Store exposes the media content store (byte offset = LBA × LBA size).
 func (nd *NAND) Store() *pcie.SparseMem { return nd.store }
 
-// EpochSlow reports whether the current banding epoch is the slow one.
-func (nd *NAND) EpochSlow() bool { return nd.epochSlow }
-
-// DieReads, StripedReads and Programs report operation counts.
-func (nd *NAND) DieReads() int64     { return nd.dieReads }
-func (nd *NAND) StripedReads() int64 { return nd.stripedReads }
-func (nd *NAND) Programs() int64     { return nd.programs }
-
 // Read retrieves n media bytes starting at byte offset off, calling done
 // when the data has left the array. Small accesses occupy a single die
 // (queueing behind other accesses to the same die — the source of the
@@ -135,7 +124,6 @@ func (nd *NAND) Read(off uint64, n int64, buf []byte, done func()) {
 		nd.store.ReadBytes(off, buf)
 	}
 	if n <= nd.cfg.StripeBytes {
-		nd.dieReads++
 		die := int((off / uint64(nd.cfg.StripeBytes))) % nd.cfg.Dies
 		start := nd.k.Now()
 		if nd.dieBusy[die] > start {
@@ -147,7 +135,6 @@ func (nd *NAND) Read(off uint64, n int64, buf []byte, done func()) {
 		nd.k.At(nd.dieBusy[die], done)
 		return
 	}
-	nd.stripedReads++
 	// Striped: pay tR once, then stream through the aggregate read path.
 	tr := nd.rng.Jitter(nd.cfg.ReadLatency, nd.cfg.ReadJitterFrac)
 	ready := nd.seqRead.Reserve(n) + tr
@@ -185,7 +172,6 @@ func (nd *NAND) Program(off uint64, n int64, data []byte) {
 	if data != nil {
 		nd.store.WriteBytes(off, data)
 	}
-	nd.programs++
 	rate := nd.cfg.ProgramBWFast
 	if nd.epochSlow {
 		rate = nd.cfg.ProgramBWSlow

@@ -85,63 +85,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Backend is the storage side the dispatcher feeds. Lanes are independent
-// in-order pipelines: completions on a lane return in issue order, which is
-// exactly the Streamer client contract (one lane) and the TenantHub
-// contract (one lane per tenant).
-type Backend interface {
-	Lanes() int
-	ReadAsync(p *sim.Proc, lane int, addr uint64, n int64)
-	ConsumeRead(p *sim.Proc, lane int) error
-	WriteAsync(p *sim.Proc, lane int, addr uint64, n int64)
-	WaitWrite(p *sim.Proc, lane int) error
-}
-
-// streamerBackend adapts a single streamer.Client as a one-lane Backend.
-type streamerBackend struct{ c *streamer.Client }
-
-// NewStreamerBackend wraps the plain Streamer client.
-func NewStreamerBackend(c *streamer.Client) Backend { return streamerBackend{c} }
-
-func (b streamerBackend) Lanes() int { return 1 }
-func (b streamerBackend) ReadAsync(p *sim.Proc, _ int, addr uint64, n int64) {
-	b.c.ReadAsync(p, addr, n)
-}
-func (b streamerBackend) ConsumeRead(p *sim.Proc, _ int) error {
-	_, _, err := b.c.ConsumeReadErr(p)
-	return err
-}
-func (b streamerBackend) WriteAsync(p *sim.Proc, _ int, addr uint64, n int64) {
-	b.c.WriteAsync(p, addr, n, nil)
-}
-func (b streamerBackend) WaitWrite(p *sim.Proc, _ int) error { return b.c.WaitWriteErr(p) }
-
-// hubBackend adapts a TenantHub as a lane-per-tenant Backend; lane i maps
-// to tenant i's window-relative address space.
-type hubBackend struct{ cl []*streamer.TenantClient }
-
-// NewHubBackend wraps a TenantHub, one lane per tenant.
-func NewHubBackend(h *streamer.TenantHub) Backend {
-	cl := make([]*streamer.TenantClient, h.Tenants())
-	for i := range cl {
-		cl[i] = h.Client(i)
-	}
-	return hubBackend{cl}
-}
-
-func (b hubBackend) Lanes() int { return len(b.cl) }
-func (b hubBackend) ReadAsync(p *sim.Proc, lane int, addr uint64, n int64) {
-	b.cl[lane].ReadAsync(p, addr, n)
-}
-func (b hubBackend) ConsumeRead(p *sim.Proc, lane int) error {
-	_, _, err := b.cl[lane].ConsumeReadErr(p)
-	return err
-}
-func (b hubBackend) WriteAsync(p *sim.Proc, lane int, addr uint64, n int64) {
-	b.cl[lane].WriteAsync(p, addr, n, nil)
-}
-func (b hubBackend) WaitWrite(p *sim.Proc, lane int) error { return b.cl[lane].WaitWriteErr(p) }
-
 // pending is one request the client has generated but not yet put on the
 // wire.
 type pending struct {
@@ -162,7 +105,7 @@ type pending struct {
 type Tier struct {
 	cfg     Config
 	spec    workload.OpenLoopSpec
-	backend Backend
+	backend streamer.IO
 
 	cliK, srvK *sim.Kernel
 	cliMAC     *ethernet.MAC
@@ -197,7 +140,7 @@ type Tier struct {
 }
 
 // New builds a serving tier with both sides on one kernel.
-func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, backend Backend) (*Tier, error) {
+func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, backend streamer.IO) (*Tier, error) {
 	return build(k, k, nil, nil, cfg, spec, backend)
 }
 
@@ -205,14 +148,14 @@ func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, backend Backend)
 // side on srvK, in different shard domains connected by the toSrv/toCli
 // edges (lookahead at least the wire latency). The two sides exchange only
 // encoded frames, so the sharded run is byte-identical to the serial one.
-func NewCross(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, backend Backend) (*Tier, error) {
+func NewCross(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, backend streamer.IO) (*Tier, error) {
 	if toSrv == nil || toCli == nil {
 		return nil, fmt.Errorf("serve: cross-domain tier needs both edges")
 	}
 	return build(cliK, srvK, toSrv, toCli, cfg, spec, backend)
 }
 
-func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, backend Backend) (*Tier, error) {
+func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, backend streamer.IO) (*Tier, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -482,7 +425,7 @@ func (t *Tier) dispatchLoop(p *sim.Proc) {
 				t.backend.ReadAsync(p, lane, req.Addr, req.N)
 				t.pendRead[lane].Put(p, req)
 			} else {
-				t.backend.WriteAsync(p, lane, req.Addr, req.N)
+				t.backend.WriteAsync(p, lane, req.Addr, req.N, nil)
 				t.pendWrite[lane].Put(p, req)
 			}
 			if issued+1 >= t.cfg.DispatchBatch {
@@ -509,9 +452,9 @@ func (t *Tier) drainLoop(p *sim.Proc, lane int, read bool) {
 		req := pend.Get(p)
 		var err error
 		if read {
-			err = t.backend.ConsumeRead(p, lane)
+			_, err = t.backend.ReadDone(p, lane)
 		} else {
-			err = t.backend.WaitWrite(p, lane)
+			err = t.backend.WriteDone(p, lane)
 		}
 		t.table.Done(req.Conn)
 		resp := Response{

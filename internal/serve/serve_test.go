@@ -5,11 +5,12 @@ import (
 
 	"snacc/internal/ethernet"
 	"snacc/internal/sim"
+	"snacc/internal/streamer"
 	"snacc/internal/workload"
 )
 
 // stubBackend is a fixed-latency storage model: completions return in
-// issue order per lane and direction (the Backend contract) after a
+// issue order per lane and direction (the streamer.IO contract) after a
 // configurable service delay, so tests dial the backend anywhere from
 // instant to pathologically slow without standing up the full streamer
 // stack.
@@ -18,11 +19,11 @@ type stubBackend struct {
 	delay sim.Time
 }
 
-func (b stubBackend) Lanes() int                               { return b.lanes }
-func (b stubBackend) ReadAsync(*sim.Proc, int, uint64, int64)  {}
-func (b stubBackend) WriteAsync(*sim.Proc, int, uint64, int64) {}
-func (b stubBackend) ConsumeRead(p *sim.Proc, _ int) error     { p.Sleep(b.delay); return nil }
-func (b stubBackend) WaitWrite(p *sim.Proc, _ int) error       { p.Sleep(b.delay); return nil }
+func (b stubBackend) Lanes() int                                       { return b.lanes }
+func (b stubBackend) ReadAsync(*sim.Proc, int, uint64, int64)          {}
+func (b stubBackend) WriteAsync(*sim.Proc, int, uint64, int64, []byte) {}
+func (b stubBackend) ReadDone(p *sim.Proc, _ int) ([]byte, error)      { p.Sleep(b.delay); return nil, nil }
+func (b stubBackend) WriteDone(p *sim.Proc, _ int) error               { p.Sleep(b.delay); return nil }
 
 func fastSpec(ops int64) workload.OpenLoopSpec {
 	return workload.OpenLoopSpec{
@@ -40,7 +41,7 @@ func fastSpec(ops int64) workload.OpenLoopSpec {
 }
 
 // runSerial builds and runs a single-kernel tier to quiescence.
-func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b Backend) Report {
+func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b streamer.IO) Report {
 	t.Helper()
 	k := sim.NewKernel()
 	tier, err := New(k, cfg, spec, b)
@@ -55,7 +56,7 @@ func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b Backend) 
 }
 
 // runCross builds and runs the tier across two shard domains.
-func runCross(t *testing.T, workers int, cfg Config, spec workload.OpenLoopSpec, b Backend) Report {
+func runCross(t *testing.T, workers int, cfg Config, spec workload.OpenLoopSpec, b streamer.IO) Report {
 	t.Helper()
 	shard := sim.NewShard(workers)
 	cli := shard.AddDomain("clients")

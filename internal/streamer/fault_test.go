@@ -124,7 +124,7 @@ func TestDroppedCQERecoveredByWatchdog(t *testing.T) {
 	}
 	done := false
 	k.Spawn("pe", func(p *sim.Proc) {
-		c.Write(p, 0, int64(len(want)), want)
+		c.WriteErr(p, 0, int64(len(want)), want)
 		got, err := c.ReadErr(p, 0, int64(len(want)))
 		if err != nil {
 			t.Fatalf("read after lost CQE failed: %v", err)
@@ -158,7 +158,7 @@ func TestExhaustedRetriesAbortToPE(t *testing.T) {
 	inj.Attach(dev)
 	done := false
 	k.Spawn("pe", func(p *sim.Proc) {
-		c.Write(p, 0, sim.MiB, nil)
+		c.WriteErr(p, 0, sim.MiB, nil)
 		data, err := c.ReadErr(p, 0, sim.MiB)
 		var ce streamer.CmdError
 		if !errors.As(err, &ce) {
@@ -202,7 +202,7 @@ func TestDelayedCQEStaleCompletionTolerated(t *testing.T) {
 	}
 	done := false
 	k.Spawn("pe", func(p *sim.Proc) {
-		c.Write(p, 0, int64(len(want)), want)
+		c.WriteErr(p, 0, int64(len(want)), want)
 		got, err := c.ReadErr(p, 0, int64(len(want)))
 		if err != nil {
 			t.Fatalf("read failed: %v", err)
@@ -235,9 +235,9 @@ func TestInvalidCompletionsCountedNotFatal(t *testing.T) {
 	k, c, _ := rig(t, streamer.URAM, true, nil)
 	done := false
 	k.Spawn("pe", func(p *sim.Proc) {
-		c.Write(p, 0, 4096, nil)
-		c.ReadAsync(p, 0, 4096)
-		c.ConsumeRead(p)
+		c.WriteErr(p, 0, 4096, nil)
+		c.ReadAsync(p, 0, 0, 4096)
+		c.ReadDone(p, 0)
 		done = true
 	})
 	k.Run(0)
@@ -317,12 +317,12 @@ func TestRecoveryScheduleDeterministic(t *testing.T) {
 		inj.Add(fault.Rule{Name: "lossy-cq", Kind: fault.DropCQE, Opcode: nvme.OpRead, Nth: 9})
 		inj.Attach(dev)
 		k.Spawn("pe", func(p *sim.Proc) {
-			c.Write(p, 0, 16*sim.MiB, nil)
+			c.WriteErr(p, 0, 16*sim.MiB, nil)
 			for i := 0; i < 16; i++ {
-				c.ReadAsync(p, uint64(i)*uint64(sim.MiB), sim.MiB)
+				c.ReadAsync(p, 0, uint64(i)*uint64(sim.MiB), sim.MiB)
 			}
 			for i := 0; i < 16; i++ {
-				c.ConsumeReadErr(p)
+				c.ReadDone(p, 0)
 			}
 		})
 		k.Run(0)

@@ -21,26 +21,27 @@ func (r PerfResult) GBps() float64 {
 
 // SeqRead measures one large sequential read (the paper benchmarks "a
 // single large NVMe transfer of 1 GB", split into 1 MiB commands by the
-// Streamer). The caller's proc consumes the data stream.
+// Streamer). The caller's proc consumes the data stream up to TLAST, which
+// aborted pieces preserve via zero-byte flagged packets, so Bytes counts
+// what was actually delivered.
 func SeqRead(p *sim.Proc, c *Client, startAddr uint64, total int64) PerfResult {
 	start := p.Now()
-	c.ReadAsync(p, startAddr, total)
+	c.ReadAsync(p, 0, startAddr, total)
 	var got int64
-	for got < total {
-		pkt := c.Streamer().ReadData.Recv(p)
+	for {
+		pkt := c.ports.ReadData.Recv(p)
 		got += pkt.Bytes
 		bufpool.Put(pkt.Data) // benchmark drops the payload; recycle it
-		if pkt.Last && got < total {
-			panic("streamer: early TLAST in sequential read")
+		if pkt.Last {
+			return PerfResult{Bytes: got, Elapsed: p.Now() - start}
 		}
 	}
-	return PerfResult{Bytes: total, Elapsed: p.Now() - start}
 }
 
 // SeqWrite measures one large sequential write.
 func SeqWrite(p *sim.Proc, c *Client, startAddr uint64, total int64) PerfResult {
 	start := p.Now()
-	c.Write(p, startAddr, total, nil)
+	c.WriteErr(p, startAddr, total, nil)
 	return PerfResult{Bytes: total, Elapsed: p.Now() - start}
 }
 
@@ -57,7 +58,7 @@ func RandRead(p *sim.Proc, c *Client, spanBytes, total, ioBytes int64, seed uint
 	k.Spawn("randread.consumer", func(cp *sim.Proc) {
 		var got int64
 		for got < total {
-			pkt := c.Streamer().ReadData.Recv(cp)
+			pkt := c.ports.ReadData.Recv(cp)
 			got += pkt.Bytes
 			bufpool.Put(pkt.Data)
 		}
@@ -65,7 +66,7 @@ func RandRead(p *sim.Proc, c *Client, spanBytes, total, ioBytes int64, seed uint
 	})
 	for i := int64(0); i < count; i++ {
 		addr := uint64(rng.Int63n(spanBytes/ioBytes)) * uint64(ioBytes)
-		c.ReadAsync(p, addr, ioBytes)
+		c.ReadAsync(p, 0, addr, ioBytes)
 	}
 	done.Get(p)
 	return PerfResult{Bytes: total, Elapsed: p.Now() - start}
@@ -81,13 +82,13 @@ func RandWrite(p *sim.Proc, c *Client, spanBytes, total, ioBytes int64, seed uin
 	done := sim.NewChan[struct{}](k, 1)
 	k.Spawn("randwrite.consumer", func(cp *sim.Proc) {
 		for i := int64(0); i < count; i++ {
-			c.WaitWrite(cp)
+			c.WriteDone(cp, 0)
 		}
 		done.TryPut(struct{}{})
 	})
 	for i := int64(0); i < count; i++ {
 		addr := uint64(rng.Int63n(spanBytes/ioBytes)) * uint64(ioBytes)
-		c.WriteAsync(p, addr, ioBytes, nil)
+		c.WriteAsync(p, 0, addr, ioBytes, nil)
 	}
 	done.Get(p)
 	return PerfResult{Bytes: total, Elapsed: p.Now() - start}
@@ -102,8 +103,8 @@ func LatencyRead(p *sim.Proc, c *Client, spanBytes, ioBytes int64, samples int, 
 	for i := 0; i < samples; i++ {
 		addr := uint64(rng.Int63n(spanBytes/ioBytes)) * uint64(ioBytes)
 		start := p.Now()
-		c.ReadAsync(p, addr, ioBytes)
-		c.ConsumeRead(p)
+		c.ReadAsync(p, 0, addr, ioBytes)
+		c.ReadDone(p, 0)
 		h.Add(p.Now() - start)
 	}
 	return h
@@ -117,7 +118,7 @@ func LatencyWrite(p *sim.Proc, c *Client, spanBytes, ioBytes int64, samples int,
 	for i := 0; i < samples; i++ {
 		addr := uint64(rng.Int63n(spanBytes/ioBytes)) * uint64(ioBytes)
 		start := p.Now()
-		c.Write(p, addr, ioBytes, nil)
+		c.WriteErr(p, addr, ioBytes, nil)
 		h.Add(p.Now() - start)
 	}
 	return h

@@ -109,7 +109,7 @@ func TestPRPRegfileComputation(t *testing.T) {
 	c := streamer.NewClient(st)
 	done := false
 	pl.K.Spawn("drive", func(p *sim.Proc) {
-		c.Write(p, 0, 64*1024, nil)
+		mustWrite(t, p, c, 0, 64*1024, nil)
 		done = true
 	})
 	pl.K.Run(0)

@@ -74,8 +74,8 @@ func TestSpanCleanPathCoversAllStages(t *testing.T) {
 				k, c, dev := rig(t, v, false, func(cfg *streamer.Config) { cfg.OutOfOrder = ooo })
 				tr := attachSpanTracer(c.Streamer(), dev)
 				k.Spawn("pe", func(p *sim.Proc) {
-					c.Write(p, 0, 2*sim.MiB+8192, nil)
-					c.Read(p, 0, 2*sim.MiB+8192)
+					mustWrite(t, p, c, 0, 2*sim.MiB+8192, nil)
+					mustRead(t, p, c, 0, 2*sim.MiB+8192)
 				})
 				k.Run(0)
 				checkSpanInvariants(t, tr)

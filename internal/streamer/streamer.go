@@ -71,10 +71,7 @@ type Streamer struct {
 	port *pcie.Port
 
 	// PE-facing AXI4 streams (§4.1).
-	ReadCmd   *axis.Stream // PE → Streamer: ReadRequest metadata
-	ReadData  *axis.Stream // Streamer → PE: read payload
-	WriteIn   *axis.Stream // PE → Streamer: WriteRequest + data + TLAST
-	WriteResp *axis.Stream // Streamer → PE: completion tokens
+	Ports
 
 	// Device linkage, programmed by the host driver at initialization
 	// (§4.6: "dynamically configuring the NVMe Streamer ... with the
@@ -291,10 +288,7 @@ func New(k *sim.Kernel, cfg Config, res Resources, port *pcie.Port, router *pcie
 		cfg:       cfg,
 		res:       res,
 		port:      port,
-		ReadCmd:   axis.New(k, cfg.Name+".rdcmd", cfg.StreamCfg),
-		ReadData:  axis.New(k, cfg.Name+".rddata", cfg.StreamCfg),
-		WriteIn:   axis.New(k, cfg.Name+".wr", cfg.StreamCfg),
-		WriteResp: axis.New(k, cfg.Name+".wrresp", cfg.StreamCfg),
+		Ports:     newPorts(k, cfg.Name, cfg.StreamCfg),
 		rob:       make([]robEntry, cfg.QueueDepth),
 		prpReg:    make([]prpRegVal, cfg.QueueDepth),
 		submitFSM: sim.NewServer(k),
@@ -1530,7 +1524,7 @@ func (s *Streamer) drainAndSend(p *sim.Proc, it sendItem) {
 		var buf []byte
 		if s.cfg.Functional {
 			// Pooled chunk; ownership passes to the ReadData consumer,
-			// which may recycle it (Client.ConsumeRead does) or let it
+			// which may recycle it (Client.ReadDone does) or let it
 			// age out to the garbage collector.
 			buf = bufpool.Get(int(m))
 		}

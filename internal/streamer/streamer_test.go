@@ -12,6 +12,30 @@ import (
 
 const ssdBAR = 0x10_0000_0000
 
+// blockingIO is the blocking read/write pair Client and Striped share.
+type blockingIO interface {
+	ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error)
+	WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error
+}
+
+// mustWrite is a blocking write that fails the test on an I/O error.
+func mustWrite(t *testing.T, p *sim.Proc, c blockingIO, addr uint64, n int64, data []byte) {
+	t.Helper()
+	if err := c.WriteErr(p, addr, n, data); err != nil {
+		t.Errorf("write %d@%#x: %v", n, addr, err)
+	}
+}
+
+// mustRead is a blocking read that fails the test on an I/O error.
+func mustRead(t *testing.T, p *sim.Proc, c blockingIO, addr uint64, n int64) []byte {
+	t.Helper()
+	data, err := c.ReadErr(p, addr, n)
+	if err != nil {
+		t.Errorf("read %d@%#x: %v", n, addr, err)
+	}
+	return data
+}
+
 // rig assembles platform + SSD + one streamer and runs the init sequence.
 func rig(t *testing.T, v streamer.Variant, functional bool, mut func(*streamer.Config)) (*sim.Kernel, *streamer.Client, *nvme.Device) {
 	t.Helper()
@@ -60,8 +84,8 @@ func TestWriteReadRoundTripAllVariants(t *testing.T) {
 			}
 			done := false
 			k.Spawn("pe", func(p *sim.Proc) {
-				c.Write(p, 4096, int64(len(want)), want)
-				got := c.Read(p, 4096, int64(len(want)))
+				mustWrite(t, p, c, 4096, int64(len(want)), want)
+				got := mustRead(t, p, c, 4096, int64(len(want)))
 				if !bytes.Equal(got, want) {
 					t.Error("streamed data corrupted through NVMe round trip")
 				}
@@ -97,8 +121,8 @@ func TestSmallUnalignedLengths(t *testing.T) {
 			for i := range data {
 				data[i] = byte(int64(i) + n)
 			}
-			c.Write(p, addr, n, data)
-			got := c.Read(p, addr, n)
+			mustWrite(t, p, c, addr, n, data)
+			got := mustRead(t, p, c, addr, n)
 			if !bytes.Equal(got, data) {
 				t.Errorf("size %d round trip failed", n)
 			}
@@ -115,7 +139,7 @@ func TestSmallUnalignedLengths(t *testing.T) {
 func TestReadOfUnwrittenReturnsZeros(t *testing.T) {
 	k, c, _ := rig(t, streamer.URAM, true, nil)
 	k.Spawn("pe", func(p *sim.Proc) {
-		got := c.Read(p, uint64(512*sim.MiB), 8192)
+		got := mustRead(t, p, c, uint64(512*sim.MiB), 8192)
 		for _, b := range got {
 			if b != 0 {
 				t.Fatal("unwritten LBAs must read back as zeros")
@@ -137,15 +161,16 @@ func TestPipelinedReadsStayOrdered(t *testing.T) {
 			for j := range data {
 				data[j] = byte(i)
 			}
-			c.Write(p, uint64(i*n), n, data)
+			mustWrite(t, p, c, uint64(i*n), n, data)
 		}
 		for i := 0; i < 8; i++ {
-			c.ReadAsync(p, uint64(i*n), n)
+			c.ReadAsync(p, 0, uint64(i*n), n)
 		}
 		for i := 0; i < 8; i++ {
-			total, data := c.ConsumeRead(p)
-			if total != n {
-				t.Errorf("read %d returned %d bytes", i, total)
+			data, err := c.ReadDone(p, 0)
+			if err != nil || len(data) != n {
+				t.Errorf("read %d returned %d bytes (err=%v)", i, len(data), err)
+				continue
 			}
 			if data[0] != byte(i) || data[n-1] != byte(i) {
 				t.Errorf("read %d returned data for a different command", i)
@@ -162,10 +187,10 @@ func TestInterleavedReadsAndWrites(t *testing.T) {
 		a := []byte("first block of data to persist..xx.............................")
 		b := make([]byte, 512)
 		copy(b, a)
-		c.Write(p, 0, 512, b)
-		got := c.Read(p, 0, 512)
-		c.Write(p, 512, 512, got)
-		got2 := c.Read(p, 512, 512)
+		mustWrite(t, p, c, 0, 512, b)
+		got := mustRead(t, p, c, 0, 512)
+		mustWrite(t, p, c, 512, 512, got)
+		got2 := mustRead(t, p, c, 512, 512)
 		if !bytes.Equal(got2, b) {
 			t.Error("interleaved read/write corrupted data")
 		}
@@ -181,10 +206,10 @@ func TestInOrderRetirementWindow(t *testing.T) {
 	})
 	k.Spawn("pe", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
-			c.ReadAsync(p, uint64(i*4096), 4096)
+			c.ReadAsync(p, 0, uint64(i*4096), 4096)
 		}
 		for i := 0; i < 16; i++ {
-			c.ConsumeRead(p)
+			c.ReadDone(p, 0)
 		}
 		st := c.Streamer()
 		if st.CommandsSubmitted() != 16 || st.CommandsRetired() != 16 {
@@ -204,8 +229,8 @@ func TestOutOfOrderVariantCompletes(t *testing.T) {
 		for i := range want {
 			want[i] = byte(i % 251)
 		}
-		c.Write(p, 0, int64(len(want)), want)
-		got := c.Read(p, 0, int64(len(want)))
+		mustWrite(t, p, c, 0, int64(len(want)), want)
+		got := mustRead(t, p, c, 0, int64(len(want)))
 		if !bytes.Equal(got, want) {
 			t.Error("out-of-order variant corrupted data")
 		}
@@ -224,8 +249,8 @@ func TestPRPListSynthesisExercised(t *testing.T) {
 				for i := range data {
 					data[i] = byte(i / 4096)
 				}
-				c.Write(p, 0, sim.MiB, data)
-				got := c.Read(p, 0, sim.MiB)
+				mustWrite(t, p, c, 0, sim.MiB, data)
+				got := mustRead(t, p, c, 0, sim.MiB)
 				if !bytes.Equal(got, data) {
 					t.Error("PRP-list transfer corrupted data")
 				}
@@ -274,10 +299,10 @@ func TestMultipleStreamersShareCard(t *testing.T) {
 			return
 		}
 		ca, cb := streamer.NewClient(stA), streamer.NewClient(stB)
-		ca.Write(p, 0, 8192, bytes.Repeat([]byte{0xAA}, 8192))
-		cb.Write(p, 0, 8192, bytes.Repeat([]byte{0xBB}, 8192))
-		gotA := ca.Read(p, 0, 8192)
-		gotB := cb.Read(p, 0, 8192)
+		mustWrite(t, p, ca, 0, 8192, bytes.Repeat([]byte{0xAA}, 8192))
+		mustWrite(t, p, cb, 0, 8192, bytes.Repeat([]byte{0xBB}, 8192))
+		gotA := mustRead(t, p, ca, 0, 8192)
+		gotB := mustRead(t, p, cb, 0, 8192)
 		if gotA[0] != 0xAA || gotB[0] != 0xBB {
 			t.Error("streamers crossed data")
 		}
@@ -296,8 +321,8 @@ func TestBufferWaveInvariant(t *testing.T) {
 	// most of it.
 	k, c, _ := rig(t, streamer.URAM, false, nil)
 	k.Spawn("pe", func(p *sim.Proc) {
-		c.ReadAsync(p, 0, 16*sim.MiB)
-		c.ConsumeRead(p)
+		c.ReadAsync(p, 0, 0, 16*sim.MiB)
+		c.ReadDone(p, 0)
 	})
 	k.Run(0)
 	hw, _ := c.Streamer().BufferHighWater()
@@ -316,11 +341,11 @@ func TestSeparateBuffersForDRAMVariant(t *testing.T) {
 	// §4.3: the DRAM variants separate read and write channels into
 	// distinct buffers — concurrent traffic must account independently.
 	k, c, _ := rig(t, streamer.OnboardDRAM, false, nil)
-	k.Spawn("w", func(p *sim.Proc) { c.Write(p, 0, 8*sim.MiB, nil) })
+	k.Spawn("w", func(p *sim.Proc) { mustWrite(t, p, c, 0, 8*sim.MiB, nil) })
 	k.Spawn("r", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
-		c.ReadAsync(p, 0, 8*sim.MiB)
-		c.ConsumeRead(p)
+		c.ReadAsync(p, 0, 0, 8*sim.MiB)
+		c.ReadDone(p, 0)
 	})
 	k.Run(0)
 	rd, wr := c.Streamer().BufferHighWater()
@@ -335,9 +360,9 @@ func TestSeparateBuffersForDRAMVariant(t *testing.T) {
 func TestCommandLatencyHistograms(t *testing.T) {
 	k, c, _ := rig(t, streamer.URAM, false, nil)
 	k.Spawn("pe", func(p *sim.Proc) {
-		c.Write(p, 0, 64*1024, nil)
-		c.ReadAsync(p, 0, 64*1024)
-		c.ConsumeRead(p)
+		mustWrite(t, p, c, 0, 64*1024, nil)
+		c.ReadAsync(p, 0, 0, 64*1024)
+		c.ReadDone(p, 0)
 	})
 	k.Run(0)
 	rd, wr := c.Streamer().CommandLatencies()

@@ -25,6 +25,10 @@ type Striped struct {
 	// completions delivers one token per finished WriteAsync call, in
 	// issue order, carrying the worst member error (nil on clean writes).
 	completions *sim.Chan[error]
+	// reads queues ReadAsync calls; ReadDone executes them in order, since
+	// striped reads must not overlap (the member data streams would demux
+	// ambiguously).
+	reads *sim.Chan[stripeRead]
 
 	// Degraded-operation counters: stripes that failed terminally on a
 	// member while the rest of the set kept streaming.
@@ -39,6 +43,13 @@ type stripeJob struct {
 	data    []byte
 	tracker *stripeTracker
 	tenant  int
+}
+
+// stripeRead is one queued ReadAsync call.
+type stripeRead struct {
+	tenant int
+	addr   uint64
+	n      int64
 }
 
 // stripeTracker counts a write call's outstanding runs and keeps the first
@@ -63,6 +74,7 @@ func NewStriped(k *sim.Kernel, streamers []*Streamer, stripeBytes int64) *Stripe
 		k:           k,
 		stripeBytes: stripeBytes,
 		completions: sim.NewChan[error](k, 1<<20),
+		reads:       sim.NewChan[stripeRead](k, 1<<16),
 	}
 	for i, st := range streamers {
 		c := NewClient(st)
@@ -77,7 +89,7 @@ func NewStriped(k *sim.Kernel, streamers []*Streamer, stripeBytes int64) *Stripe
 			p.SetDaemon(true)
 			for {
 				j := jobs.Get(p)
-				c.writeAsyncT(p, j.tenant, j.devAddr, j.n, j.data)
+				c.WriteAsync(p, j.tenant, j.devAddr, j.n, j.data)
 				acks.Put(p, j.tracker)
 			}
 		})
@@ -87,7 +99,7 @@ func NewStriped(k *sim.Kernel, streamers []*Streamer, stripeBytes int64) *Stripe
 				tr := acks.Get(p)
 				// A dead member resolves its stripes with terminal errors
 				// rather than stalling the set: record, count, keep going.
-				if err := c.WaitWriteErr(p); err != nil {
+				if err := c.WriteDone(p, 0); err != nil {
 					s.degradedWrites++
 					if tr.err == nil {
 						tr.err = fmt.Errorf("striped member %d: %w", member, err)
@@ -102,6 +114,9 @@ func NewStriped(k *sim.Kernel, streamers []*Streamer, stripeBytes int64) *Stripe
 	}
 	return s
 }
+
+// Lanes reports the set's single pipeline.
+func (s *Striped) Lanes() int { return 1 }
 
 // Width returns the number of member streamers.
 func (s *Striped) Width() int { return len(s.clients) }
@@ -121,10 +136,11 @@ type stripeRun struct {
 // address space interleaves stripes across members; each member's device
 // address advances one stripe per logical round. Transfers need not be
 // stripe aligned — a partial first or last stripe simply becomes a shorter
-// run at the matching offset within the member's stripe.
-func (s *Striped) mapRange(addr uint64, n int64) []stripeRun {
-	if addr%512 != 0 || n%512 != 0 {
-		panic(fmt.Sprintf("streamer: striped transfer %d@%#x not 512-aligned", n, addr))
+// run at the matching offset within the member's stripe. Empty or
+// unaligned transfers are rejected.
+func (s *Striped) mapRange(addr uint64, n int64) ([]stripeRun, error) {
+	if n <= 0 || addr%512 != 0 || n%512 != 0 {
+		return nil, fmt.Errorf("streamer: striped transfer %d@%#x not 512-aligned", n, addr)
 	}
 	var runs []stripeRun
 	var off int64
@@ -147,7 +163,7 @@ func (s *Striped) mapRange(addr uint64, n int64) []stripeRun {
 		off += m
 		n -= m
 	}
-	return runs
+	return runs, nil
 }
 
 // byMember groups runs per member so each member's AXI write stream sees
@@ -163,48 +179,46 @@ func (s *Striped) byMember(runs []stripeRun) [][]stripeRun {
 
 // WriteAsync stores n bytes at the consolidated address, striping across
 // the members, without waiting for completion; pair each call with one
-// WaitWrite. Independent calls pipeline across images/requests while each
-// member's stream stays correctly framed.
-func (s *Striped) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
-	s.WriteAsyncT(p, 0, addr, n, data)
-}
-
-// WriteAsyncT is WriteAsync with the command's spans attributed to a tenant,
-// so per-tenant attribution survives striping across members.
-func (s *Striped) WriteAsyncT(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
-	runs := s.mapRange(addr, n)
+// WriteDone. Independent calls pipeline across images/requests while each
+// member's stream stays correctly framed. lane tags the command's spans with
+// a tenant, so per-tenant attribution survives striping.
+func (s *Striped) WriteAsync(p *sim.Proc, lane int, addr uint64, n int64, data []byte) {
+	runs, err := s.mapRange(addr, n)
+	if err != nil {
+		s.completions.TryPut(err)
+		return
+	}
 	tr := &stripeTracker{remaining: len(runs), s: s}
 	for _, r := range runs {
 		var d []byte
 		if data != nil {
 			d = data[r.off : r.off+r.n]
 		}
-		s.jobs[r.member].Put(p, stripeJob{devAddr: r.devAddr, n: r.n, data: d, tracker: tr, tenant: tenant})
+		s.jobs[r.member].Put(p, stripeJob{devAddr: r.devAddr, n: r.n, data: d, tracker: tr, tenant: lane})
 	}
 }
 
-// WaitWrite blocks until one earlier WriteAsync call completes (tokens
-// arrive in issue order), discarding any degraded-member error.
-func (s *Striped) WaitWrite(p *sim.Proc) {
-	s.completions.Get(p)
-}
-
-// WaitWriteErr blocks until one earlier WriteAsync call completes and
-// returns the first member error, nil when every stripe landed.
-func (s *Striped) WaitWriteErr(p *sim.Proc) error {
+// WriteDone blocks until one earlier WriteAsync call completes and returns
+// the first member error, nil when every stripe landed.
+func (s *Striped) WriteDone(p *sim.Proc, _ int) error {
 	return s.completions.Get(p)
 }
 
-// Write is the blocking form: stripe, then wait for every member.
-func (s *Striped) Write(p *sim.Proc, addr uint64, n int64, data []byte) {
-	s.WriteAsync(p, addr, n, data)
-	s.WaitWrite(p)
+// WriteErr is the blocking write.
+func (s *Striped) WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error {
+	s.WriteAsync(p, 0, addr, n, data)
+	return s.WriteDone(p, 0)
 }
 
-// WriteErr is the blocking form with degraded-member errors surfaced.
-func (s *Striped) WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error {
-	s.WriteAsync(p, addr, n, data)
-	return s.WaitWriteErr(p)
+// ReadAsync queues a read; ReadDone performs it.
+func (s *Striped) ReadAsync(p *sim.Proc, lane int, addr uint64, n int64) {
+	s.reads.Put(p, stripeRead{tenant: lane, addr: addr, n: n})
+}
+
+// ReadDone performs the oldest queued read. See ReadErr.
+func (s *Striped) ReadDone(p *sim.Proc, _ int) ([]byte, error) {
+	r := s.reads.Get(p)
+	return s.read(p, r.tenant, r.addr, r.n)
 }
 
 // stripeReadResult is one member worker's outcome.
@@ -213,26 +227,23 @@ type stripeReadResult struct {
 	err        error
 }
 
-// Read returns n bytes from the consolidated address. Reads are not safe
-// to issue concurrently with each other (the data streams would demux
-// ambiguously); interleave them between Write/WaitWrite pairs instead.
-// Degraded-member errors are discarded; use ReadErr to observe them.
-func (s *Striped) Read(p *sim.Proc, addr uint64, n int64) []byte {
-	data, _ := s.ReadErr(p, addr, n)
-	return data
-}
-
 // ReadErr reads n bytes and surfaces degraded operation: a dead member
 // fails its stripes with a terminal error while the surviving members keep
 // streaming theirs. On error the returned buffer still holds the survivors'
-// bytes (the dead member's runs read as zero).
+// bytes (the dead member's runs read as zero). Reads are not safe to issue
+// concurrently with each other; interleave them between WriteAsync and
+// WriteDone instead.
 func (s *Striped) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
-	return s.ReadErrT(p, 0, addr, n)
+	return s.read(p, 0, addr, n)
 }
 
-// ReadErrT is ReadErr with the command's spans attributed to a tenant.
-func (s *Striped) ReadErrT(p *sim.Proc, tenant int, addr uint64, n int64) ([]byte, error) {
-	grouped := s.byMember(s.mapRange(addr, n))
+// read is ReadErr with the command's spans attributed to a tenant.
+func (s *Striped) read(p *sim.Proc, tenant int, addr uint64, n int64) ([]byte, error) {
+	runs, err := s.mapRange(addr, n)
+	if err != nil {
+		return nil, err
+	}
+	grouped := s.byMember(runs)
 	out := make([]byte, n)
 	done := sim.NewChan[stripeReadResult](s.k, len(s.clients))
 	active := 0
@@ -246,7 +257,8 @@ func (s *Striped) ReadErrT(p *sim.Proc, tenant int, addr uint64, n int64) ([]byt
 		s.k.Spawn("stripe.r", func(rp *sim.Proc) {
 			res := stripeReadResult{}
 			for _, r := range runs {
-				d, err := c.readErrT(rp, tenant, r.devAddr, r.n)
+				c.ReadAsync(rp, tenant, r.devAddr, r.n)
+				d, err := c.ReadDone(rp, 0)
 				if err != nil {
 					s.degradedReads++
 					if res.err == nil {
@@ -263,7 +275,6 @@ func (s *Striped) ReadErrT(p *sim.Proc, tenant int, addr uint64, n int64) ([]byt
 		})
 	}
 	functional := false
-	var err error
 	for i := 0; i < active; i++ {
 		res := done.Get(p)
 		functional = functional || res.functional

@@ -64,8 +64,8 @@ func TestStripedRoundTrip(t *testing.T) {
 		want[i] = byte(i * 11)
 	}
 	k.Spawn("app", func(p *sim.Proc) {
-		s.Write(p, 0, int64(len(want)), want)
-		got := s.Read(p, 0, int64(len(want)))
+		mustWrite(t, p, s, 0, int64(len(want)), want)
+		got := mustRead(t, p, s, 0, int64(len(want)))
 		if !bytes.Equal(got, want) {
 			t.Error("striped round trip corrupted data")
 		}
@@ -84,7 +84,7 @@ func TestStripedRoundTrip(t *testing.T) {
 func TestStripedDistributesEvenly(t *testing.T) {
 	k, s, devs := stripedRig(t, 4, false)
 	k.Spawn("app", func(p *sim.Proc) {
-		s.Write(p, 0, 32*sim.MiB, nil)
+		mustWrite(t, p, s, 0, 32*sim.MiB, nil)
 	})
 	k.Run(0)
 	var min, max int64 = 1 << 62, 0
@@ -108,7 +108,7 @@ func TestStripedAggregatesBandwidth(t *testing.T) {
 		var el sim.Time
 		k.Spawn("app", func(p *sim.Proc) {
 			start := p.Now()
-			s.Write(p, 0, 96*sim.MiB, nil)
+			mustWrite(t, p, s, 0, 96*sim.MiB, nil)
 			el = p.Now() - start
 		})
 		k.Run(0)
@@ -120,18 +120,23 @@ func TestStripedAggregatesBandwidth(t *testing.T) {
 	}
 }
 
-func TestStripedUnalignedAddressPanics(t *testing.T) {
+func TestStripedUnalignedAddressRejected(t *testing.T) {
+	// Sub-sector alignment is the hard floor (stripe alignment is not
+	// required); empty and unaligned transfers complete with an error
+	// instead of reaching a member.
 	k, s, _ := stripedRig(t, 2, false)
-	_ = k
-	defer func() {
-		if recover() == nil {
-			t.Error("unaligned striped address accepted")
+	k.Spawn("pe", func(p *sim.Proc) {
+		if err := s.WriteErr(p, 100, sim.MiB, nil); err == nil {
+			t.Error("unaligned striped write accepted")
 		}
-	}()
-	// mapRange validation fires synchronously on the test goroutine.
-	// Sub-sector alignment is the hard floor; stripe alignment is no
-	// longer required.
-	s.Write(nil, 100, sim.MiB, nil)
+		if err := s.WriteErr(p, 0, 0, nil); err == nil {
+			t.Error("empty striped write accepted")
+		}
+		if _, err := s.ReadErr(p, 0, 100); err == nil {
+			t.Error("unaligned striped read accepted")
+		}
+	})
+	k.Run(0)
 }
 
 func TestStripedSubStripeRoundTrip(t *testing.T) {
@@ -146,8 +151,8 @@ func TestStripedSubStripeRoundTrip(t *testing.T) {
 	}
 	var got []byte
 	k.Spawn("main", func(p *sim.Proc) {
-		s.Write(p, addr, n, want)
-		got = s.Read(p, addr, n)
+		mustWrite(t, p, s, addr, n, want)
+		got = mustRead(t, p, s, addr, n)
 	})
 	k.Run(0)
 	if !bytes.Equal(got, want) {
@@ -175,17 +180,17 @@ func TestStripedRandomizedIntegrity(t *testing.T) {
 				for i := range data {
 					data[i] = byte(rng.Int63n(256))
 				}
-				s.Write(p, addr, n, data)
+				mustWrite(t, p, s, addr, n, data)
 				copy(shadow[addr:], data)
 			} else {
-				got := s.Read(p, addr, n)
+				got := mustRead(t, p, s, addr, n)
 				if !bytes.Equal(got, shadow[addr:addr+uint64(n)]) {
 					failure = fmt.Sprintf("op %d: read %d@%#x diverged", op, n, addr)
 					return
 				}
 			}
 		}
-		got := s.Read(p, 0, span)
+		got := mustRead(t, p, s, 0, span)
 		if !bytes.Equal(got, shadow) {
 			for i := range got {
 				if got[i] != shadow[i] {
@@ -334,17 +339,17 @@ func TestOutOfOrderRandomizedIntegrity(t *testing.T) {
 				for i := range data {
 					data[i] = byte(rng.Int63n(256))
 				}
-				c.Write(p, addr, n, data)
+				mustWrite(t, p, c, addr, n, data)
 				copy(shadow[addr:], data)
 			} else {
-				got := c.Read(p, addr, n)
+				got := mustRead(t, p, c, addr, n)
 				if !bytes.Equal(got, shadow[addr:addr+uint64(n)]) {
 					failure = fmt.Sprintf("op %d: read %d@%#x diverged", op, n, addr)
 					return
 				}
 			}
 		}
-		got := c.Read(p, 0, span)
+		got := mustRead(t, p, c, 0, span)
 		if !bytes.Equal(got, shadow) {
 			failure = "final readback diverged"
 		}

@@ -5,13 +5,12 @@ import (
 	"sort"
 
 	"snacc/internal/axis"
-	"snacc/internal/bufpool"
 	"snacc/internal/nvme"
 	"snacc/internal/obs"
 	"snacc/internal/sim"
 )
 
-// This file virtualizes one streamer (or one striped set) for N tenants —
+// This file virtualizes any IO (one streamer, one striped set) for N tenants —
 // the UltraShare-style sharing layer the ROADMAP's serving north-star needs.
 // Each tenant gets its own PE-facing command/data stream pair and an
 // isolated LBA window; a weighted deficit-round-robin scheduler with
@@ -166,15 +165,13 @@ func (b *tokenBucket) take(now sim.Time, cost int64) sim.Time {
 }
 
 // Tenant is the hub-side state of one tenant: its PE-facing streams plus
-// scheduler bookkeeping. PEs drive the exported streams (or a TenantClient);
-// everything else is the hub's.
+// scheduler bookkeeping. PEs drive the exported streams (or the hub's
+// Client(i)); everything else is the hub's.
 type Tenant struct {
-	// ReadCmd/ReadData/WriteIn/WriteResp mirror the Streamer's PE-facing
-	// stream interface, scoped to this tenant.
-	ReadCmd   *axis.Stream
-	ReadData  *axis.Stream
-	WriteIn   *axis.Stream
-	WriteResp *axis.Stream
+	// Ports mirrors the Streamer's PE-facing stream interface, scoped to
+	// this tenant.
+	Ports
+	client *Client
 
 	cfg     TenantConfig
 	idx     int
@@ -189,7 +186,6 @@ type Tenant struct {
 	stats    TenantStats
 	readLat  obs.Hist
 	writeLat obs.Hist
-	queueLat obs.Hist
 }
 
 // release returns one admission slot and wakes blocked fronts.
@@ -204,117 +200,18 @@ func (t *Tenant) release() {
 	}
 }
 
-// tenantTarget abstracts the backend under a hub. issueRead/issueWrite run
-// on the hub's single issue proc (which keeps the backend's write stream
-// framing and per-direction completion order intact); deliverRead and
-// completeWrite run on the per-direction completion procs and pair results
-// in issue order.
-type tenantTarget interface {
-	issueRead(p *sim.Proc, tenant int, addr uint64, n int64)
-	// deliverRead forwards one read's result packets to out (ending with
-	// TLAST) and returns the successfully delivered payload bytes plus the
-	// first error flagged on the stream.
-	deliverRead(p *sim.Proc, out *axis.Stream) (int64, error)
-	issueWrite(p *sim.Proc, tenant int, addr uint64, n int64, data []byte)
-	completeWrite(p *sim.Proc) error
-}
-
-// streamerTarget multiplexes tenants onto a single Streamer's streams.
-type streamerTarget struct {
-	s   *Streamer
-	pkt int64
-}
-
-func (tg *streamerTarget) issueRead(p *sim.Proc, tenant int, addr uint64, n int64) {
-	tg.s.ReadCmd.Send(p, axis.Packet{Meta: ReadRequest{Addr: addr, Len: n, Tenant: tenant}})
-}
-
-func (tg *streamerTarget) deliverRead(p *sim.Proc, out *axis.Stream) (int64, error) {
-	var total int64
-	var err error
-	for {
-		pkt := tg.s.ReadData.Recv(p)
-		total += pkt.Bytes
-		if ce, ok := pkt.Meta.(CmdError); ok && err == nil {
-			err = ce
-		}
-		out.Send(p, pkt)
-		if pkt.Last {
-			return total, err
-		}
-	}
-}
-
-func (tg *streamerTarget) issueWrite(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
-	tg.s.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr, Tenant: tenant}})
-	var off int64
-	for off < n {
-		m := tg.pkt
-		if m > n-off {
-			m = n - off
-		}
-		var d []byte
-		if data != nil {
-			d = data[off : off+m]
-		}
-		off += m
-		tg.s.WriteIn.Send(p, axis.Packet{Bytes: m, Data: d, Last: off == n})
-	}
-}
-
-func (tg *streamerTarget) completeWrite(p *sim.Proc) error {
-	pkt := tg.s.WriteResp.Recv(p)
-	if ce, ok := pkt.Meta.(CmdError); ok {
-		return ce
-	}
-	return nil
-}
-
-// stripedTarget multiplexes tenants onto a striped set. Writes pipeline via
-// WriteAsyncT/WaitWriteErr (issue-order completions); reads execute at
-// completion time because Striped reads are blocking and must not overlap.
-type stripedTarget struct {
-	sp    *Striped
-	readQ *sim.Chan[tenantJob]
-}
-
-func (tg *stripedTarget) issueRead(p *sim.Proc, tenant int, addr uint64, n int64) {
-	tg.readQ.Put(p, tenantJob{tenant: tenant, addr: addr, n: n})
-}
-
-func (tg *stripedTarget) deliverRead(p *sim.Proc, out *axis.Stream) (int64, error) {
-	j := tg.readQ.Get(p)
-	data, err := tg.sp.ReadErrT(p, j.tenant, j.addr, j.n)
-	pkt := axis.Packet{Last: true}
-	if data != nil {
-		pkt.Bytes = j.n
-		pkt.Data = data
-	} else if err == nil {
-		// Timing-only mode delivers no payload but the full byte count.
-		pkt.Bytes = j.n
-	}
-	if err != nil {
-		pkt.Meta = CmdError{Status: nvme.StatusInternalError, Addr: j.addr, Len: j.n}
-	}
-	out.Send(p, pkt)
-	return pkt.Bytes, err
-}
-
-func (tg *stripedTarget) issueWrite(p *sim.Proc, tenant int, addr uint64, n int64, data []byte) {
-	tg.sp.WriteAsyncT(p, tenant, addr, n, data)
-}
-
-func (tg *stripedTarget) completeWrite(p *sim.Proc) error {
-	return tg.sp.WaitWriteErr(p)
-}
-
-// TenantHub virtualizes one backend (a Streamer or a Striped set) for N
-// tenants. Create it once after the backend is initialized; drive tenants
-// through Client(i) or their exported streams. All hub procs are daemons,
+// TenantHub virtualizes one backend IO (a Streamer's Client or a Striped
+// set) for N tenants, and is itself an IO with one lane per tenant. Create
+// it once after the backend is initialized; drive tenants through its IO
+// methods, Client(i) or their exported streams. All hub procs are daemons,
 // so an idle hub never keeps the kernel alive.
 type TenantHub struct {
 	k       *sim.Kernel
-	target  tenantTarget
+	backend IO
+	// fwd is the backend when it is a Client: its read packets are
+	// forwarded to the tenant as they arrive, keeping the raw Streamer's
+	// pacing, instead of buffered whole.
+	fwd     *Client
 	tenants []*Tenant
 	quantum int64
 	fifo    bool
@@ -333,18 +230,21 @@ type TenantHub struct {
 	workSignal   *sim.Chan[struct{}]
 }
 
-// NewTenantHub virtualizes a single streamer for the given tenants.
+// NewTenantHub virtualizes a single streamer for the given tenants; the
+// tenant streams take the streamer's stream configuration.
 func NewTenantHub(k *sim.Kernel, st *Streamer, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
-	return newTenantHub(k, &streamerTarget{s: st, pkt: 256 * sim.KiB}, st.cfg.StreamCfg, cfgs, opts)
+	return newTenantHub(k, NewClient(st), st.cfg.StreamCfg, cfgs, opts)
 }
 
-// NewStripedTenantHub virtualizes a striped set for the given tenants.
-func NewStripedTenantHub(k *sim.Kernel, sp *Striped, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
-	tg := &stripedTarget{sp: sp, readQ: sim.NewChan[tenantJob](k, 1<<16)}
-	return newTenantHub(k, tg, axis.DefaultConfig(), cfgs, opts)
+// NewHub virtualizes a backend IO (a Striped set, a Client) for the given
+// tenants. The hub issues each command on the lane numbered by its tenant
+// (the span tag) and pairs completions in dispatch order, so the backend
+// must share one pipeline across lanes, as Client and Striped do.
+func NewHub(k *sim.Kernel, backend IO, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
+	return newTenantHub(k, backend, axis.DefaultConfig(), cfgs, opts)
 }
 
-func newTenantHub(k *sim.Kernel, target tenantTarget, streamCfg axis.Config, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
+func newTenantHub(k *sim.Kernel, backend IO, streamCfg axis.Config, cfgs []TenantConfig, opts HubOptions) (*TenantHub, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("streamer: tenant hub needs at least one tenant")
 	}
@@ -364,7 +264,7 @@ func newTenantHub(k *sim.Kernel, target tenantTarget, streamCfg axis.Config, cfg
 	}
 	h := &TenantHub{
 		k:              k,
-		target:         target,
+		backend:        backend,
 		quantum:        quantum,
 		fifo:           opts.FIFO,
 		maxOutstanding: maxOut,
@@ -406,25 +306,24 @@ func newTenantHub(k *sim.Kernel, target tenantTarget, streamCfg axis.Config, cfg
 		}
 		name := fmt.Sprintf("tenant%d.%s", i, cfg.Name)
 		t := &Tenant{
-			ReadCmd:   axis.New(k, name+".rdcmd", streamCfg),
-			ReadData:  axis.New(k, name+".rddata", streamCfg),
-			WriteIn:   axis.New(k, name+".wr", streamCfg),
-			WriteResp: axis.New(k, name+".wrresp", streamCfg),
-			cfg:       cfg,
-			idx:       i,
-			quantum:   quantum * int64(cfg.Weight),
+			Ports:   newPorts(k, name, streamCfg),
+			cfg:     cfg,
+			idx:     i,
+			quantum: quantum * int64(cfg.Weight),
 			bucket: tokenBucket{
 				rate:  cfg.RateBytesPerSec,
 				burst: cfg.BurstBytes,
 				level: cfg.BurstBytes,
 			},
 		}
+		t.client = &Client{ports: t.Ports, PktBytes: 256 * sim.KiB}
 		t.stats.Name = cfg.Name
 		h.tenants = append(h.tenants, t)
 	}
 	if err := h.checkOverlap(); err != nil {
 		return nil, err
 	}
+	h.fwd, _ = backend.(*Client)
 	for i, t := range h.tenants {
 		t := t
 		k.Spawn(fmt.Sprintf("hub.t%d.rdfront", i), h.readFront(t))
@@ -543,7 +442,6 @@ func (h *TenantHub) dispatch(p *sim.Proc, j tenantJob) {
 	}
 	t := h.tenants[j.tenant]
 	t.stats.Dispatched++
-	t.queueLat.Record(p.Now() - j.acceptedAt)
 	h.dispatchQ.Put(p, j)
 }
 
@@ -652,9 +550,9 @@ func (h *TenantHub) issueLoop(p *sim.Proc) {
 		j := h.dispatchQ.Get(p)
 		if !j.rejected {
 			if j.isWrite {
-				h.target.issueWrite(p, j.tenant, j.addr, j.n, j.data)
+				h.backend.WriteAsync(p, j.tenant, j.addr, j.n, j.data)
 			} else {
-				h.target.issueRead(p, j.tenant, j.addr, j.n)
+				h.backend.ReadAsync(p, j.tenant, j.addr, j.n)
 			}
 		}
 		if j.isWrite {
@@ -678,7 +576,7 @@ func (h *TenantHub) readCompleteLoop(p *sim.Proc) {
 		if j.rejected {
 			t.ReadData.Send(p, axis.Packet{Last: true, Meta: rejectError(j)})
 		} else {
-			n, err := h.target.deliverRead(p, t.ReadData)
+			n, err := h.deliverRead(p, j, t.ReadData)
 			t.stats.BytesRead += n
 			if err != nil {
 				t.stats.Errors++
@@ -688,6 +586,28 @@ func (h *TenantHub) readCompleteLoop(p *sim.Proc) {
 		t.stats.Reads++
 		h.complete(j, t)
 	}
+}
+
+// deliverRead relays one backend read to a tenant's data stream and returns
+// the payload bytes delivered and the first error. A Client backend's
+// packets are forwarded as they arrive; any other backend's read arrives
+// whole and goes out as one packet.
+func (h *TenantHub) deliverRead(p *sim.Proc, j tenantJob, out *axis.Stream) (int64, error) {
+	if h.fwd != nil {
+		n, _, err := h.fwd.drain(p, out)
+		return n, err
+	}
+	data, err := h.backend.ReadDone(p, j.tenant)
+	pkt := axis.Packet{Last: true, Data: data}
+	if data != nil || err == nil {
+		// Timing-only mode delivers no payload but the full byte count.
+		pkt.Bytes = j.n
+	}
+	if err != nil {
+		pkt.Meta = CmdError{Status: nvme.StatusInternalError, Addr: j.addr, Len: j.n}
+	}
+	out.Send(p, pkt)
+	return pkt.Bytes, err
 }
 
 // complete releases a finished job's admission slot and outstanding-window
@@ -708,7 +628,7 @@ func (h *TenantHub) writeCompleteLoop(p *sim.Proc) {
 		if j.rejected {
 			t.WriteResp.Send(p, axis.Packet{Last: true, Meta: rejectError(j)})
 		} else {
-			err := h.target.completeWrite(p)
+			err := h.backend.WriteDone(p, j.tenant)
 			pkt := axis.Packet{Last: true}
 			if err != nil {
 				t.stats.Errors++
@@ -748,118 +668,29 @@ func (h *TenantHub) ReadLatency(i int) obs.Hist { return h.tenants[i].readLat }
 // histogram.
 func (h *TenantHub) WriteLatency(i int) obs.Hist { return h.tenants[i].writeLat }
 
-// QueueWait returns a copy of tenant i's accept→dispatch wait histogram —
-// the time commands spent queued behind the scheduler.
-func (h *TenantHub) QueueWait(i int) obs.Hist { return h.tenants[i].queueLat }
+// Lanes reports one lane per tenant.
+func (h *TenantHub) Lanes() int { return len(h.tenants) }
 
-// TenantClient drives one tenant's stream pair the way Client drives a raw
-// streamer's. Addresses are window-relative.
-type TenantClient struct {
-	t *Tenant
-	// PktBytes is the write-stream packet granularity. Defaults to 256 KiB.
-	PktBytes int64
+// Client returns tenant i's client. Addresses are window-relative.
+func (h *TenantHub) Client(i int) *Client { return h.tenants[i].client }
+
+// ReadAsync issues a read on tenant lane's stream pair.
+func (h *TenantHub) ReadAsync(p *sim.Proc, lane int, addr uint64, n int64) {
+	h.tenants[lane].client.ReadAsync(p, 0, addr, n)
 }
 
-// Client returns a client for tenant i.
-func (h *TenantHub) Client(i int) *TenantClient {
-	return &TenantClient{t: h.tenants[i], PktBytes: 256 * sim.KiB}
+// ReadDone completes tenant lane's oldest read: its content and its window
+// rejection or backend error.
+func (h *TenantHub) ReadDone(p *sim.Proc, lane int) ([]byte, error) {
+	return h.tenants[lane].client.ReadDone(p, 0)
 }
 
-// WriteAsync streams a write without waiting for the response token.
-func (c *TenantClient) WriteAsync(p *sim.Proc, addr uint64, n int64, data []byte) {
-	if n <= 0 {
-		// A bare TLAST header frames the (invalid, length-zero) write so
-		// the hub can reject it instead of desynchronizing the stream.
-		c.t.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr}, Last: true})
-		return
-	}
-	c.t.WriteIn.Send(p, axis.Packet{Meta: WriteRequest{Addr: addr}})
-	var off int64
-	for off < n {
-		m := c.PktBytes
-		if m > n-off {
-			m = n - off
-		}
-		var d []byte
-		if data != nil {
-			d = data[off : off+m]
-		}
-		off += m
-		c.t.WriteIn.Send(p, axis.Packet{Bytes: m, Data: d, Last: off == n})
-	}
+// WriteAsync streams a write on tenant lane's stream pair.
+func (h *TenantHub) WriteAsync(p *sim.Proc, lane int, addr uint64, n int64, data []byte) {
+	h.tenants[lane].client.WriteAsync(p, 0, addr, n, data)
 }
 
-// WaitWriteErr consumes one write-response token and returns its error flag
-// (a rejection or a backend failure), nil on success.
-func (c *TenantClient) WaitWriteErr(p *sim.Proc) error {
-	pkt := c.t.WriteResp.Recv(p)
-	if err, ok := pkt.Meta.(error); ok {
-		return err
-	}
-	return nil
-}
-
-// WriteErr is the blocking write with the error flag surfaced.
-func (c *TenantClient) WriteErr(p *sim.Proc, addr uint64, n int64, data []byte) error {
-	c.WriteAsync(p, addr, n, data)
-	return c.WaitWriteErr(p)
-}
-
-// Write is the blocking write, discarding the error flag.
-func (c *TenantClient) Write(p *sim.Proc, addr uint64, n int64, data []byte) {
-	c.WriteAsync(p, addr, n, data)
-	c.t.WriteResp.Recv(p)
-}
-
-// ReadAsync issues a read command without consuming the data.
-func (c *TenantClient) ReadAsync(p *sim.Proc, addr uint64, n int64) {
-	c.t.ReadCmd.Send(p, axis.Packet{Meta: ReadRequest{Addr: addr, Len: n}})
-}
-
-// ConsumeReadErr drains packets for one read (until TLAST) and returns the
-// delivered bytes, concatenated content (functional mode), and the first
-// error flagged on the stream.
-func (c *TenantClient) ConsumeReadErr(p *sim.Proc) (int64, []byte, error) {
-	var total int64
-	var data []byte
-	var err error
-	for {
-		pkt := c.t.ReadData.Recv(p)
-		if e, ok := pkt.Meta.(error); ok && err == nil {
-			err = e
-		}
-		total += pkt.Bytes
-		if pkt.Data != nil {
-			data = append(data, pkt.Data...)
-			// The chunk was copied out above; recycle it like
-			// Client.ConsumeReadErr does.
-			bufpool.Put(pkt.Data)
-		}
-		if pkt.Last {
-			return total, data, err
-		}
-	}
-}
-
-// ConsumeRead drains packets for one read, ignoring error flags.
-func (c *TenantClient) ConsumeRead(p *sim.Proc) (int64, []byte) {
-	total, data, _ := c.ConsumeReadErr(p)
-	return total, data
-}
-
-// ReadErr is the blocking read with error flags surfaced.
-func (c *TenantClient) ReadErr(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
-	c.ReadAsync(p, addr, n)
-	_, data, err := c.ConsumeReadErr(p)
-	return data, err
-}
-
-// Read is the blocking read, panicking on short delivery like Client.Read.
-func (c *TenantClient) Read(p *sim.Proc, addr uint64, n int64) []byte {
-	c.ReadAsync(p, addr, n)
-	got, data, err := c.ConsumeReadErr(p)
-	if err == nil && got != n {
-		panic("streamer: tenant read returned unexpected length")
-	}
-	return data
+// WriteDone completes tenant lane's oldest write.
+func (h *TenantHub) WriteDone(p *sim.Proc, lane int) error {
+	return h.tenants[lane].client.WriteDone(p, 0)
 }

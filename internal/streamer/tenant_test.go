@@ -137,10 +137,10 @@ func TestTenantDRRWeightedShares(t *testing.T) {
 		c := hub.Client(i)
 		k.Spawn("pe", func(p *sim.Proc) {
 			for j := 0; j < ops; j++ {
-				c.ReadAsync(p, uint64(int64(j)*ioBytes%window), ioBytes)
+				c.ReadAsync(p, 0, uint64(int64(j)*ioBytes%window), ioBytes)
 			}
 			for j := 0; j < ops; j++ {
-				c.ConsumeRead(p)
+				c.ReadDone(p, 0)
 			}
 			doneAt[i] = p.Now()
 		})
@@ -182,10 +182,10 @@ func TestTenantRateLimitThrottles(t *testing.T) {
 	c := hub.Client(0)
 	k.Spawn("pe", func(p *sim.Proc) {
 		for off := int64(0); off < total; off += ioBytes {
-			c.ReadAsync(p, uint64(off), ioBytes)
+			c.ReadAsync(p, 0, uint64(off), ioBytes)
 		}
 		for off := int64(0); off < total; off += ioBytes {
-			c.ConsumeRead(p)
+			c.ReadDone(p, 0)
 		}
 		finished = p.Now()
 	})
@@ -212,10 +212,10 @@ func TestTenantAdmissionCap(t *testing.T) {
 	const ops = 64
 	k.Spawn("pe", func(p *sim.Proc) {
 		for j := 0; j < ops; j++ {
-			c.ReadAsync(p, uint64(j*4096), 4096)
+			c.ReadAsync(p, 0, uint64(j*4096), 4096)
 		}
 		for j := 0; j < ops; j++ {
-			c.ConsumeRead(p)
+			c.ReadDone(p, 0)
 		}
 	})
 	k.Run(0)
@@ -233,9 +233,9 @@ func TestTenantAdmissionCap(t *testing.T) {
 func TestTenantStripedHub(t *testing.T) {
 	const window = 8 * sim.MiB
 	k, sp, _ := stripedRig(t, 3, true)
-	hub, err := streamer.NewStripedTenantHub(k, sp, threeTenants(window), streamer.HubOptions{})
+	hub, err := streamer.NewHub(k, sp, threeTenants(window), streamer.HubOptions{})
 	if err != nil {
-		t.Fatalf("NewStripedTenantHub: %v", err)
+		t.Fatalf("NewHub: %v", err)
 	}
 	finished := 0
 	for i := 0; i < hub.Tenants(); i++ {
@@ -421,10 +421,10 @@ func TestTenantIsolationDegradedStripe(t *testing.T) {
 		crashRecovery(cfg)
 		cfg.MaxResets = 0 // removal is permanent: die on the first trip
 	})
-	hub, err := streamer.NewStripedTenantHub(k, sp, threeTenants(window),
+	hub, err := streamer.NewHub(k, sp, threeTenants(window),
 		streamer.HubOptions{QuantumBytes: 64 * sim.KiB})
 	if err != nil {
-		t.Fatalf("NewStripedTenantHub: %v", err)
+		t.Fatalf("NewHub: %v", err)
 	}
 	inj := fault.NewInjector(7)
 	inj.Add(fault.Rule{Name: "remove-m1", Kind: fault.RemoveCtrl, Opcode: fault.OpAny,

@@ -188,8 +188,15 @@ func TestXUPVVHPlatformRunsTheStack(t *testing.T) {
 		for i := range data {
 			data[i] = byte(i)
 		}
-		c.Write(p, 0, int64(len(data)), data)
-		got := c.Read(p, 0, int64(len(data)))
+		if err := c.WriteErr(p, 0, int64(len(data)), data); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		got, err := c.ReadErr(p, 0, int64(len(data)))
+		if err != nil {
+			t.Errorf("read: %v", err)
+			return
+		}
 		for i := range data {
 			if got[i] != data[i] {
 				t.Error("XUP-VVH round trip corrupted")
@@ -243,17 +250,17 @@ func TestTwoStreamersOneSSD(t *testing.T) {
 		}
 		done := sim.NewChan[struct{}](k, 1)
 		k.Spawn("writerB", func(bp *sim.Proc) {
-			b.Write(bp, uint64(64*sim.MiB), n, dataB)
+			b.WriteErr(bp, uint64(64*sim.MiB), n, dataB)
 			done.TryPut(struct{}{})
 		})
-		a.Write(p, 0, n, dataA)
+		a.WriteErr(p, 0, n, dataA)
 		done.Get(p)
 		// Cross-read: each streamer reads what the other wrote.
-		if got := a.Read(p, uint64(64*sim.MiB), n); !bytes.Equal(got, dataB) {
+		if got, err := a.ReadErr(p, uint64(64*sim.MiB), n); err != nil || !bytes.Equal(got, dataB) {
 			t.Error("streamer A read of B's data corrupted")
 			return
 		}
-		if got := b.Read(p, 0, n); !bytes.Equal(got, dataA) {
+		if got, err := b.ReadErr(p, 0, n); err != nil || !bytes.Equal(got, dataA) {
 			t.Error("streamer B read of A's data corrupted")
 			return
 		}

@@ -228,7 +228,7 @@ func drive(p *sim.Proc, c *streamer.Client, name string, next func() (TraceOp, b
 				done.TryPut(struct{}{})
 				return
 			}
-			c.ConsumeRead(rp)
+			c.ReadDone(rp, 0)
 			res.BytesRead += n
 		}
 	})
@@ -239,7 +239,7 @@ func drive(p *sim.Proc, c *streamer.Client, name string, next func() (TraceOp, b
 				done.TryPut(struct{}{})
 				return
 			}
-			c.WaitWrite(wp)
+			c.WriteDone(wp, 0)
 			res.BytesWritten += n
 		}
 	})
@@ -254,11 +254,11 @@ func drive(p *sim.Proc, c *streamer.Client, name string, next func() (TraceOp, b
 		}
 		if op.Read {
 			res.Reads++
-			c.ReadAsync(p, op.Addr, op.N)
+			c.ReadAsync(p, 0, op.Addr, op.N)
 			readsIssued.Put(p, op.N)
 		} else {
 			res.Writes++
-			c.WriteAsync(p, op.Addr, op.N, nil)
+			c.WriteAsync(p, 0, op.Addr, op.N, nil)
 			writesIssued.Put(p, op.N)
 		}
 	}

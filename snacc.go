@@ -114,9 +114,9 @@ type Options struct {
 	// its own command/data stream pair, an isolated LBA window enforced on
 	// every submission, a weighted share of the device under deficit
 	// round-robin scheduling, and optional token-bucket rate limiting with
-	// admission control. Tenant traffic goes through Handle.TenantRead /
-	// TenantWrite; the raw Handle.Read / Write entry points panic, since
-	// they would bypass the isolation windows.
+	// admission control. Tenant traffic goes through Handle.Tenant(i);
+	// the raw Handle's I/O returns an error, since it would bypass the
+	// isolation windows.
 	Tenants []TenantConfig
 	// Cluster, when non-nil, scales the system out: Nodes full
 	// streamer+SSD stacks behind the simulated Ethernet switch, a
@@ -400,9 +400,8 @@ type System struct {
 	tracer   *obs.Tracer         // nil unless Options.Trace was set
 	boundary *pcie.Tracer        // nil unless Options.Trace.Boundary was set
 	hub      *streamer.TenantHub // nil unless Options.Tenants was set
-	tclients []*streamer.TenantClient
-	cluster  *cluster.Cluster // nil unless Options.Cluster was set
-	serve    *serve.Tier      // nil unless Options.Serve was set
+	cluster  *cluster.Cluster    // nil unless Options.Cluster was set
+	serve    *serve.Tier         // nil unless Options.Serve was set
 }
 
 // systemBARWindow is where enumeration places discovered device BARs.
@@ -536,17 +535,12 @@ func NewSystem(opts Options) (*System, error) {
 			return nil, err
 		}
 		sys.hub = hub
-		for i := 0; i < hub.Tenants(); i++ {
-			sys.tclients = append(sys.tclients, hub.Client(i))
-		}
 	}
 	if opts.Serve != nil {
 		spec, cfg := opts.Serve.build(len(opts.Tenants))
-		var backend serve.Backend
+		var backend streamer.IO = sys.client
 		if sys.hub != nil {
-			backend = serve.NewHubBackend(sys.hub)
-		} else {
-			backend = serve.NewStreamerBackend(sys.client)
+			backend = sys.hub
 		}
 		var tier *serve.Tier
 		var err error
@@ -749,10 +743,15 @@ func MustNewSystem(opts Options) *System {
 }
 
 // Handle drives the Streamer from inside the simulation, the way a user
-// PE drives its four AXI4-Stream interfaces.
+// PE drives its four AXI4-Stream interfaces. Its I/O methods never panic on
+// caller input: a request the device cannot take, or one addressed to the
+// wrong target, returns an error before it reaches a Streamer.
 type Handle struct {
 	p   *sim.Proc
 	sys *System
+	// tenant is the addressed tenant when tenanted is set (see Tenant).
+	tenant   int
+	tenanted bool
 }
 
 // Execute runs fn as a simulation process and advances simulated time
@@ -814,116 +813,83 @@ func (s *System) KernelWorkers() int {
 // Now returns the current simulated time in nanoseconds.
 func (h *Handle) Now() int64 { return int64(h.p.Now()) }
 
-// client returns the raw (untenanted) streamer client, panicking when the
-// system is virtualized — raw access would bypass the tenant LBA windows.
-func (h *Handle) client() *streamer.Client {
-	if h.sys.hub != nil {
-		panic("snacc: Streamer is virtualized (Options.Tenants); use TenantRead/TenantWrite")
-	}
-	return h.sys.client
+// Tenant returns a handle whose I/O goes through tenant i's virtual stream
+// pair (Options.Tenants). Its addresses are relative to the tenant's LBA
+// window; out-of-window requests return the per-tenant rejection error
+// without touching the device. On a system without tenants, or for an
+// index out of range, every I/O on the returned handle returns an error.
+func (h *Handle) Tenant(i int) *Handle {
+	return &Handle{p: h.p, sys: h.sys, tenant: i, tenanted: true}
 }
 
-// tenant returns tenant i's client, panicking when the system has no
-// tenants or the index is out of range.
-func (h *Handle) tenant(i int) *streamer.TenantClient {
-	if h.sys.hub == nil {
-		panic("snacc: no tenants configured (set Options.Tenants)")
+// route validates a request and picks its target: the tenant hub's lane,
+// or the raw Streamer's client (nil in cluster mode).
+func (h *Handle) route(addr uint64, n int64) (streamer.IO, int, error) {
+	hub := h.sys.hub
+	switch {
+	case n <= 0 || n%512 != 0 || addr%512 != 0:
+		return nil, 0, fmt.Errorf("snacc: request of %d bytes at %#x: length must be a positive multiple of 512 and the address 512-aligned", n, addr)
+	case !h.tenanted && hub != nil:
+		return nil, 0, fmt.Errorf("snacc: Streamer is virtualized (Options.Tenants); address a tenant with Handle.Tenant")
+	case !h.tenanted:
+		return h.sys.client, 0, nil
+	case hub == nil:
+		return nil, 0, fmt.Errorf("snacc: no tenants configured (set Options.Tenants)")
+	case h.tenant < 0 || h.tenant >= hub.Tenants():
+		return nil, 0, fmt.Errorf("snacc: tenant %d out of range (%d configured)", h.tenant, hub.Tenants())
 	}
-	if i < 0 || i >= len(h.sys.tclients) {
-		panic(fmt.Sprintf("snacc: tenant %d out of range (%d configured)", i, len(h.sys.tclients)))
-	}
-	return h.sys.tclients[i]
+	return hub, h.tenant, nil
 }
 
 // Write stores data at the given device byte address (512-aligned, length
-// a multiple of 512) and waits for the Streamer's response token. In
-// cluster mode the address is a cluster-logical byte address and the write
-// replicates to R nodes, acknowledging at the configured quorum.
-func (h *Handle) Write(addr uint64, data []byte) {
-	if c := h.sys.cluster; c != nil {
-		if err := c.Write(h.p, addr, data); err != nil {
-			panic(fmt.Sprintf("snacc: cluster write %d@%#x: %v", len(data), addr, err))
-		}
-		return
-	}
-	h.client().Write(h.p, addr, int64(len(data)), data)
+// a positive multiple of 512) and returns the worst terminal NVMe status
+// across the write's pieces, nil when every piece landed. In cluster mode
+// the address is a cluster-logical byte address and the write replicates
+// to R nodes, failing when fewer than the quorum acknowledge.
+func (h *Handle) Write(addr uint64, data []byte) error {
+	return h.write(addr, int64(len(data)), data)
 }
 
 // WriteTimed performs a timing-only write of n bytes.
-func (h *Handle) WriteTimed(addr uint64, n int64) {
-	if c := h.sys.cluster; c != nil {
-		if err := c.WriteTimed(h.p, addr, n); err != nil {
-			panic(fmt.Sprintf("snacc: cluster write %d@%#x: %v", n, addr, err))
-		}
-		return
-	}
-	h.client().Write(h.p, addr, n, nil)
+func (h *Handle) WriteTimed(addr uint64, n int64) error {
+	return h.write(addr, n, nil)
 }
 
-// Read returns n bytes from the given device byte address. In cluster mode
+func (h *Handle) write(addr uint64, n int64, data []byte) error {
+	io, lane, err := h.route(addr, n)
+	switch {
+	case err != nil:
+		return err
+	case h.sys.cluster != nil && data != nil:
+		return h.sys.cluster.Write(h.p, addr, data)
+	case h.sys.cluster != nil:
+		return h.sys.cluster.WriteTimed(h.p, addr, n)
+	}
+	io.WriteAsync(h.p, lane, addr, n, data)
+	return io.WriteDone(h.p, lane)
+}
+
+// Read returns n bytes from the given device byte address, surfacing
+// terminal NVMe errors (after the Streamer has exhausted its retries); on
+// error the data covers only the pieces that succeeded. In cluster mode
 // the read is served by the chunk's primary replica, failing over to the
 // others on error or timeout.
-func (h *Handle) Read(addr uint64, n int64) []byte {
-	if c := h.sys.cluster; c != nil {
-		data, err := c.Read(h.p, addr, n)
-		if err != nil {
-			panic(fmt.Sprintf("snacc: cluster read %d@%#x: %v", n, addr, err))
-		}
-		return data
+func (h *Handle) Read(addr uint64, n int64) ([]byte, error) {
+	io, lane, err := h.route(addr, n)
+	switch {
+	case err != nil:
+		return nil, err
+	case h.sys.cluster != nil:
+		return h.sys.cluster.Read(h.p, addr, n)
 	}
-	return h.client().Read(h.p, addr, n)
+	io.ReadAsync(h.p, lane, addr, n)
+	return io.ReadDone(h.p, lane)
 }
 
-// ReadTimed performs a timing-only read of n bytes.
-func (h *Handle) ReadTimed(addr uint64, n int64) {
-	if c := h.sys.cluster; c != nil {
-		if _, err := c.Read(h.p, addr, n); err != nil {
-			panic(fmt.Sprintf("snacc: cluster read %d@%#x: %v", n, addr, err))
-		}
-		return
-	}
-	c := h.client()
-	c.ReadAsync(h.p, addr, n)
-	c.ConsumeRead(h.p)
-}
-
-// ReadErr is Read surfacing terminal NVMe errors (after the Streamer has
-// exhausted its retries) instead of panicking on the short delivery. The
-// returned data covers only the pieces that succeeded.
-func (h *Handle) ReadErr(addr uint64, n int64) ([]byte, error) {
-	if c := h.sys.cluster; c != nil {
-		return c.Read(h.p, addr, n)
-	}
-	return h.client().ReadErr(h.p, addr, n)
-}
-
-// WriteErr is Write surfacing the worst terminal NVMe status across the
-// write's pieces via the response token's error flag (in cluster mode, a
-// quorum failure).
-func (h *Handle) WriteErr(addr uint64, data []byte) error {
-	if c := h.sys.cluster; c != nil {
-		return c.Write(h.p, addr, data)
-	}
-	return h.client().WriteErr(h.p, addr, int64(len(data)), data)
-}
-
-// TenantWrite stores data at a tenant-relative device byte address through
-// tenant's virtual stream pair. Addresses are relative to the tenant's LBA
-// window; out-of-window or unaligned requests return the per-tenant
-// rejection error without touching the device.
-func (h *Handle) TenantWrite(tenant int, addr uint64, data []byte) error {
-	return h.tenant(tenant).WriteErr(h.p, addr, int64(len(data)), data)
-}
-
-// TenantWriteTimed is a timing-only TenantWrite of n bytes.
-func (h *Handle) TenantWriteTimed(tenant int, addr uint64, n int64) error {
-	return h.tenant(tenant).WriteErr(h.p, addr, n, nil)
-}
-
-// TenantRead returns n bytes from a tenant-relative device byte address,
-// surfacing window rejections and terminal NVMe errors.
-func (h *Handle) TenantRead(tenant int, addr uint64, n int64) ([]byte, error) {
-	return h.tenant(tenant).ReadErr(h.p, addr, n)
+// ReadTimed performs a read of n bytes, discarding the content.
+func (h *Handle) ReadTimed(addr uint64, n int64) error {
+	_, err := h.Read(addr, n)
+	return err
 }
 
 // Sleep advances this process by d nanoseconds of simulated time.

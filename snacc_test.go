@@ -9,6 +9,17 @@ import (
 	"snacc/internal/sim"
 )
 
+// mustRead is Handle.Read for reads expected to succeed: an error fails the
+// test (Errorf, not Fatal — it runs inside a simulation process).
+func mustRead(t *testing.T, h *Handle, addr uint64, n int64) []byte {
+	t.Helper()
+	got, err := h.Read(addr, n)
+	if err != nil {
+		t.Errorf("read %d@%#x: %v", n, addr, err)
+	}
+	return got
+}
+
 func TestSystemWriteReadRoundTrip(t *testing.T) {
 	for _, v := range []Variant{URAM, OnboardDRAM, HostDRAM} {
 		t.Run(v.String(), func(t *testing.T) {
@@ -19,7 +30,7 @@ func TestSystemWriteReadRoundTrip(t *testing.T) {
 			}
 			sys.Execute(func(h *Handle) {
 				h.Write(0, want)
-				got := h.Read(0, int64(len(want)))
+				got := mustRead(t, h, 0, int64(len(want)))
 				if !bytes.Equal(got, want) {
 					t.Error("round trip corrupted data")
 				}
@@ -47,7 +58,7 @@ func TestSystemMultipleExecutes(t *testing.T) {
 	})
 	sys.Execute(func(h *Handle) {
 		t2 = h.Now()
-		got := h.Read(0, 512)
+		got := mustRead(t, h, 0, 512)
 		if string(got[:10]) != "persist me" {
 			t.Error("data did not survive across Execute calls")
 		}
@@ -134,7 +145,7 @@ func TestSystemOutOfOrderOption(t *testing.T) {
 	want := bytes.Repeat([]byte{0xA5}, 128*1024)
 	sys.Execute(func(h *Handle) {
 		h.Write(4096, want)
-		if !bytes.Equal(h.Read(4096, int64(len(want))), want) {
+		if !bytes.Equal(mustRead(t, h, 4096, int64(len(want))), want) {
 			t.Error("OOO system corrupted data")
 		}
 	})
@@ -151,7 +162,7 @@ func TestSystemRoundTripProperty(t *testing.T) {
 		ok := false
 		sys.Execute(func(h *Handle) {
 			h.Write(addr, data)
-			ok = bytes.Equal(h.Read(addr, n), data)
+			ok = bytes.Equal(mustRead(t, h, addr, n), data)
 		})
 		return ok
 	}

@@ -30,17 +30,17 @@ func TestTenantFacadeRoundTrip(t *testing.T) {
 	sys.Execute(func(h *Handle) {
 		// Both tenants write to the SAME tenant-relative address; the hub's
 		// window translation must keep them on disjoint device ranges.
-		if err := h.TenantWrite(0, 4096, a); err != nil {
+		if err := h.Tenant(0).Write(4096, a); err != nil {
 			t.Errorf("tenant 0 write: %v", err)
 		}
-		if err := h.TenantWrite(1, 4096, b); err != nil {
+		if err := h.Tenant(1).Write(4096, b); err != nil {
 			t.Errorf("tenant 1 write: %v", err)
 		}
-		got, err := h.TenantRead(0, 4096, int64(len(a)))
+		got, err := h.Tenant(0).Read(4096, int64(len(a)))
 		if err != nil || !bytes.Equal(got, a) {
 			t.Errorf("tenant 0 read back wrong data (err=%v)", err)
 		}
-		got, err = h.TenantRead(1, 4096, int64(len(b)))
+		got, err = h.Tenant(1).Read(4096, int64(len(b)))
 		if err != nil || !bytes.Equal(got, b) {
 			t.Errorf("tenant 1 read back wrong data (err=%v)", err)
 		}
@@ -70,10 +70,10 @@ func TestTenantFacadeRoundTrip(t *testing.T) {
 func TestTenantFacadeWindowRejection(t *testing.T) {
 	sys := MustNewSystem(twoTenantOpts())
 	sys.Execute(func(h *Handle) {
-		if err := h.TenantWriteTimed(0, uint64(64*sim.MiB), 4096); err == nil {
+		if err := h.Tenant(0).WriteTimed(uint64(64*sim.MiB), 4096); err == nil {
 			t.Error("out-of-window write not rejected")
 		}
-		if _, err := h.TenantRead(1, uint64(60*sim.MiB), 8*sim.MiB); err == nil {
+		if _, err := h.Tenant(1).Read(uint64(60*sim.MiB), 8*sim.MiB); err == nil {
 			t.Error("window-overrunning read not rejected")
 		}
 	})
@@ -88,27 +88,23 @@ func TestTenantFacadeWindowRejection(t *testing.T) {
 }
 
 func TestTenantFacadeGuards(t *testing.T) {
-	mustPanic := func(name, want string, fn func()) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Errorf("%s did not panic", name)
-				return
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
-				t.Errorf("%s panicked with %v, want substring %q", name, r, want)
-			}
-		}()
-		fn()
+	mustReject := func(name, want string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s returned %v, want an error containing %q", name, err, want)
+		}
 	}
 	virt := MustNewSystem(twoTenantOpts())
 	virt.Execute(func(h *Handle) {
-		mustPanic("raw Read on virtualized system", "virtualized", func() { h.Read(0, 512) })
-		mustPanic("out-of-range tenant", "out of range", func() { h.TenantRead(5, 0, 512) })
+		_, err := h.Read(0, 512)
+		mustReject("raw Read on virtualized system", "virtualized", err)
+		_, err = h.Tenant(5).Read(0, 512)
+		mustReject("out-of-range tenant", "out of range", err)
 	})
 	plain := MustNewSystem(Options{})
 	plain.Execute(func(h *Handle) {
-		mustPanic("TenantRead without tenants", "no tenants", func() { h.TenantRead(0, 0, 512) })
+		_, err := h.Tenant(0).Read(0, 512)
+		mustReject("tenant Read without tenants", "no tenants", err)
 	})
 	if got := plain.TenantStats(); got != nil {
 		t.Errorf("TenantStats without tenants = %v, want nil", got)
