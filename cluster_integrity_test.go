@@ -13,33 +13,24 @@ import (
 // runs against a replicated 4-node cluster while one node's controller is
 // surprise-removed mid-run. For R in {2, 3} every byte must survive — reads
 // fail over, writes re-home to survivors, and background re-replication
-// restores full replication before the run drains — and the entire
-// timeline must be byte-identical at any kernel worker count.
+// restores full replication before the run drains.
 func TestClusterRandomizedDataIntegrity(t *testing.T) {
 	for _, r := range []int{2, 3} {
 		r := r
-		t.Run(fmt.Sprintf("R%d", r), func(t *testing.T) {
-			base := runClusterIntegrity(t, r, 1)
-			for _, w := range []int{2, 4} {
-				if got := runClusterIntegrity(t, r, w); got != base {
-					t.Errorf("workers=%d digest %x != workers=1 digest %x", w, got, base)
-				}
-			}
-		})
+		t.Run(fmt.Sprintf("R%d", r), func(t *testing.T) { runClusterIntegrity(t, r) })
 	}
 }
 
-// runClusterIntegrity runs one kill-a-node workload and returns a digest
-// over the final readback bytes, the cluster clock, and the recovery
-// counters — equal digests mean byte- and timeline-identical runs.
-func runClusterIntegrity(t *testing.T, replication, workers int) uint64 {
+// runClusterIntegrity runs one kill-a-node workload, checking every read
+// and the final readback against a shadow copy and the recovery counters
+// after the drain.
+func runClusterIntegrity(t *testing.T, replication int) {
 	quorum := replication - 1
 	if quorum < 1 {
 		quorum = 1
 	}
 	sys := MustNewSystem(Options{
-		Seed:          9,
-		KernelWorkers: workers,
+		Seed: 9,
 		Cluster: &ClusterOptions{
 			Nodes:       4,
 			Replication: replication,
@@ -51,8 +42,6 @@ func runClusterIntegrity(t *testing.T, replication, workers int) uint64 {
 	const span = 2 << 20 // 2 MiB working window (8 default chunks)
 	shadow := make([]byte, span)
 	rng := sim.NewRand(uint64(replication)*31 + 5)
-	const prime = 1099511628211
-	digest := uint64(14695981039346656037)
 
 	// Failures are collected and reported outside Execute: t.Fatalf inside
 	// a sim proc goroutine aborts it without unwinding the kernel and
@@ -92,12 +81,7 @@ func runClusterIntegrity(t *testing.T, replication, workers int) uint64 {
 		}
 		if !bytes.Equal(got, shadow) {
 			failure = fmt.Sprintf("final readback diverged at byte %d", firstDiff(got, shadow))
-			return
 		}
-		for _, b := range got {
-			digest = (digest ^ uint64(b)) * prime
-		}
-		digest = (digest ^ uint64(h.Now())) * prime
 	})
 	if failure != "" {
 		t.Fatal(failure)
@@ -105,22 +89,16 @@ func runClusterIntegrity(t *testing.T, replication, workers int) uint64 {
 
 	st := sys.Stats()
 	if st.NodeDeaths != 1 {
-		t.Fatalf("R=%d workers=%d: NodeDeaths = %d, want 1", replication, workers, st.NodeDeaths)
+		t.Fatalf("R=%d: NodeDeaths = %d, want 1", replication, st.NodeDeaths)
 	}
 	if len(st.DeadNodes) != 1 || st.DeadNodes[0] != 2 {
-		t.Fatalf("R=%d workers=%d: DeadNodes = %v, want [2]", replication, workers, st.DeadNodes)
+		t.Fatalf("R=%d: DeadNodes = %v, want [2]", replication, st.DeadNodes)
 	}
 	if st.ReReplicatedBytes == 0 {
-		t.Fatalf("R=%d workers=%d: repair never ran: %+v", replication, workers, st)
+		t.Fatalf("R=%d: repair never ran: %+v", replication, st)
 	}
 	if st.UnderReplicatedChunks != 0 {
-		t.Fatalf("R=%d workers=%d: cluster still under-replicated after drain (%d chunks)",
-			replication, workers, st.UnderReplicatedChunks)
+		t.Fatalf("R=%d: cluster still under-replicated after drain (%d chunks)",
+			replication, st.UnderReplicatedChunks)
 	}
-	digest = (digest ^ uint64(st.NodeDeaths)) * prime
-	digest = (digest ^ uint64(st.Failovers)) * prime
-	digest = (digest ^ uint64(st.ReReplicatedBytes)) * prime
-	digest = (digest ^ uint64(st.DegradedWindowNs)) * prime
-	digest = (digest ^ uint64(st.SimTime)) * prime
-	return digest
 }

@@ -14,7 +14,6 @@
 //	snaccbench -crash             # controller-crash sweep (goodput + MTTR vs crash rate)
 //	snaccbench -latency           # per-stage latency percentiles from span tracing
 //	snaccbench -queues 1,2,4,8    # multi-queue submission sweep, write BENCH_queues.json
-//	snaccbench -kernelworkers 1,2,4 # sharded-kernel worker sweep, write BENCH_kernel.json
 //	snaccbench -tenants           # multi-tenant QoS sweep, write BENCH_tenants.json
 //	snaccbench -serve             # open-loop serving sweep (10k/100k/1M clients), write BENCH_serve.json
 //	snaccbench -serve -clients 50000 -phases 1:200,8:25  # custom population and burst schedule
@@ -64,7 +63,6 @@ func main() {
 	crash := flag.Bool("crash", false, "run the controller-crash sweep (goodput and MTTR vs crash rate), write BENCH_crash.json")
 	latency := flag.Bool("latency", false, "run the latency-breakdown rig (per-stage latency percentiles from span tracing), write BENCH_latency.json")
 	queuesArg := flag.String("queues", "", "comma-separated I/O queue counts for the multi-queue submission sweep (each 1..8), write BENCH_queues.json")
-	kwArg := flag.String("kernelworkers", "", "comma-separated worker counts for the sharded-kernel sweep (results identical at any count), write BENCH_kernel.json")
 	tenants := flag.Bool("tenants", false, "run the multi-tenant QoS sweep (victim vs noisy neighbor, DRR vs FIFO), write BENCH_tenants.json")
 	serveRun := flag.Bool("serve", false, "run the open-loop serving sweep (RPC fleet over 100G, pause/shed backpressure), write BENCH_serve.json")
 	serveClients := flag.String("clients", "", "with -serve: comma-separated client populations (default 10000,100000,1000000)")
@@ -119,16 +117,6 @@ func main() {
 				fail("invalid -queues entry %q (want integers 1..%d)", part, streamer.MaxIOQueues)
 			}
 			queueCounts = append(queueCounts, n)
-		}
-	}
-	var kwCounts []int
-	if *kwArg != "" {
-		for _, part := range strings.Split(*kwArg, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 || n > 64 {
-				fail("invalid -kernelworkers entry %q (want integers 1..64)", part)
-			}
-			kwCounts = append(kwCounts, n)
 		}
 	}
 
@@ -287,23 +275,6 @@ func main() {
 					os.Exit(1)
 				}
 				fmt.Println("wrote BENCH_queues.json")
-			}
-		})
-	}
-	if *all || *kwArg != "" {
-		run("sharded-kernel worker sweep", func() {
-			counts := kwCounts
-			if len(counts) == 0 {
-				counts = []int{1, 2, 4}
-			}
-			rep := bench.KernelSweep(counts, 0)
-			show(bench.RenderKernelSweep(rep))
-			if *kwArg != "" {
-				if err := os.WriteFile("BENCH_kernel.json", []byte(rep.JSON()+"\n"), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Println("wrote BENCH_kernel.json")
 			}
 		})
 	}

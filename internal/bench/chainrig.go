@@ -1,80 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"runtime"
-	"time"
-
 	"snacc/internal/ethernet"
 	"snacc/internal/nvme"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
-
-// KernelPoint is one worker count of the sharded-kernel sweep.
-type KernelPoint struct {
-	Workers int `json:"workers"`
-	// EffectiveWorkers caps Workers by GOMAXPROCS and the domain count —
-	// what can actually run concurrently.
-	EffectiveWorkers int     `json:"effective_workers"`
-	Seconds          float64 `json:"seconds"`
-	Events           uint64  `json:"events"`
-	EventsPerSec     float64 `json:"events_per_sec"`
-	// CrossEvents counts inter-domain handoffs; Rounds counts
-	// synchronization windows and EventsPerRound is the useful work each
-	// carried — the sync-overhead headline (sim.SyncStats).
-	CrossEvents    uint64  `json:"cross_events"`
-	Rounds         uint64  `json:"rounds"`
-	EventsPerRound float64 `json:"events_per_round"`
-	// ElidedDomainRounds counts domain-round slots skipped outright because
-	// the domain had no work below its window; UnboundedWindows counts
-	// executed domain-rounds free to run to their queue tail; Widest/
-	// NarrowestWindowNs bound the finite per-domain window widths the
-	// safe-time computation produced.
-	ElidedDomainRounds uint64 `json:"elided_domain_rounds"`
-	UnboundedWindows   uint64 `json:"unbounded_windows"`
-	WidestWindowNs     int64  `json:"widest_window_ns"`
-	NarrowestWindowNs  int64  `json:"narrowest_window_ns"`
-	// Speedup is events/s relative to the workers=1 point.
-	Speedup float64 `json:"speedup"`
-	// Digest is the FNV-1a fold of every executed event's (domain, time,
-	// sequence) — the byte-identity witness across worker counts.
-	Digest string `json:"digest"`
-}
-
-// KernelReport is the -kernelworkers sweep the snaccbench CLI emits as
-// BENCH_kernel.json: event throughput of the sharded conservative-parallel
-// kernel on the ethernet → pcie → nvme-per-controller chain, at several
-// worker counts, with the determinism digests and the machine's concurrency
-// limits alongside — so a flat speedup curve on a core-bound machine reads
-// as the machine's limit, not a scheduler regression.
-type KernelReport struct {
-	CPUs       int `json:"cpus"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// CoreBound flags that some requested worker count exceeds GOMAXPROCS:
-	// wall-clock scaling beyond that is impossible on this machine and the
-	// speedup column must not be read as a regression.
-	CoreBound bool     `json:"core_bound"`
-	Domains   []string `json:"domains"`
-	// MinLookaheadNs is the smallest edge lookahead — the conservative
-	// window increment the topology sustains per round.
-	MinLookaheadNs int64 `json:"min_lookahead_ns"`
-	// Deterministic is true when every point produced the same digest and
-	// event count (the tentpole guarantee, checked on every sweep).
-	Deterministic bool          `json:"deterministic"`
-	Points        []KernelPoint `json:"points"`
-	Note          string        `json:"note,omitempty"`
-}
-
-// JSON renders the report.
-func (r KernelReport) JSON() string {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return string(out)
-}
 
 // chainState is one domain's workload state; everything here is owned by
 // exactly one domain and touched only by its events.
@@ -132,8 +63,10 @@ type cqState struct {
 // triggers DMA-shaped local work there, crosses to one of two NVMe
 // controller domains after the link latency, pays command processing, and
 // completes back through the pcie domain. Lookaheads are the real model
-// latencies (wire 500 ns, NVMe link 150 ns with stock configs).
-func kernelChainRun(workers, frames int) (digest uint64, p KernelPoint) {
+// latencies (wire 500 ns, NVMe link 150 ns with stock configs). It returns
+// an FNV-1a digest over every domain's executed events and the shard's
+// synchronization counters.
+func kernelChainRun(frames int) (digest uint64, sync sim.SyncStats) {
 	plan := streamer.DomainPlan(ethernet.DefaultConfig(),
 		nvme.DefaultConfig("nvme0", 0), nvme.DefaultConfig("nvme1", 0))
 	// The rig's own firmware closures below never answer an arrival with a
@@ -149,7 +82,7 @@ func kernelChainRun(workers, frames int) (digest uint64, p KernelPoint) {
 		"nvme1": nvmeService,
 		"pcie":  200 * sim.Nanosecond,
 	}
-	s := sim.NewShard(workers)
+	s := sim.NewShard()
 	domains, edges, err := plan.Build(s)
 	if err != nil {
 		panic(err)
@@ -178,7 +111,7 @@ func kernelChainRun(workers, frames int) (digest uint64, p KernelPoint) {
 	// id order, each controller completes in command order), so a handler
 	// derives the id it is working on from a per-domain sequence counter
 	// instead of capturing it — keeping the steady state allocation-free,
-	// which is what lets the sweep measure synchronization cost rather than
+	// which is what lets the rig measure synchronization cost rather than
 	// garbage-collector pressure.
 
 	// NVMe domains: command processing — a few spaced silent firmware
@@ -294,10 +227,7 @@ func kernelChainRun(workers, frames int) (digest uint64, p KernelPoint) {
 	}
 	ek.At(0, arrival)
 
-	start := time.Now()
 	s.Run(0)
-	elapsed := time.Since(start)
-
 	digest = 14695981039346656037
 	for _, st := range state {
 		digest ^= st.h
@@ -305,105 +235,5 @@ func kernelChainRun(workers, frames int) (digest uint64, p KernelPoint) {
 		digest ^= st.n
 		digest *= 1099511628211
 	}
-	eff := workers
-	if g := runtime.GOMAXPROCS(0); eff > g {
-		eff = g
-	}
-	if eff > len(plan.Domains) {
-		eff = len(plan.Domains)
-	}
-	sync := s.SyncStats()
-	return digest, KernelPoint{
-		Workers:            workers,
-		EffectiveWorkers:   eff,
-		Seconds:            elapsed.Seconds(),
-		Events:             s.EventsExecuted(),
-		EventsPerSec:       float64(s.EventsExecuted()) / elapsed.Seconds(),
-		CrossEvents:        s.CrossEvents(),
-		Rounds:             sync.Rounds,
-		EventsPerRound:     sync.EventsPerRound,
-		ElidedDomainRounds: sync.ElidedDomainRounds,
-		UnboundedWindows:   sync.UnboundedWindows,
-		WidestWindowNs:     int64(sync.WidestWindow),
-		NarrowestWindowNs:  int64(sync.NarrowestWindow),
-		Digest:             fmt.Sprintf("%016x", digest),
-	}
-}
-
-// KernelSweep measures the sharded kernel at each worker count (default
-// 1, 2, 4) over the DomainPlan chain rig, checking digest identity across
-// counts. frames <= 0 selects 20000 arrivals (~360k events).
-func KernelSweep(workerCounts []int, frames int) KernelReport {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4}
-	}
-	if frames <= 0 {
-		frames = 20000
-	}
-	plan := streamer.DomainPlan(ethernet.DefaultConfig(),
-		nvme.DefaultConfig("nvme0", 0), nvme.DefaultConfig("nvme1", 0))
-	r := KernelReport{
-		CPUs:           runtime.NumCPU(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		Domains:        plan.Domains,
-		MinLookaheadNs: int64(plan.MinLookahead()),
-		Deterministic:  true,
-	}
-	kernelChainRun(1, frames/10+1) // warm-up: page in code, prime pools
-
-	var baseDigest uint64
-	var baseEvents uint64
-	var baseRate float64
-	for i, w := range workerCounts {
-		digest, p := kernelChainRun(w, frames)
-		if i == 0 {
-			baseDigest, baseEvents, baseRate = digest, p.Events, p.EventsPerSec
-		} else if digest != baseDigest || p.Events != baseEvents {
-			r.Deterministic = false
-		}
-		if baseRate > 0 {
-			p.Speedup = p.EventsPerSec / baseRate
-		}
-		if w > r.GOMAXPROCS {
-			r.CoreBound = true
-		}
-		r.Points = append(r.Points, p)
-	}
-	if r.CoreBound {
-		r.Note = fmt.Sprintf("core-bound: GOMAXPROCS=%d limits concurrency below the requested worker counts; flat speedup here reflects the machine, not the scheduler",
-			r.GOMAXPROCS)
-	}
-	return r
-}
-
-// RenderKernelSweep formats the report as a table for the CLI.
-func RenderKernelSweep(r KernelReport) Table {
-	t := Table{
-		Title:   "Sharded kernel sweep (conservative-parallel DES)",
-		Columns: []string{"effective", "events", "cross", "rounds", "ev/round", "elided", "widest", "Mev/s", "speedup", "digest"},
-	}
-	for _, p := range r.Points {
-		t.Rows = append(t.Rows, TableRow{
-			Label: fmt.Sprintf("workers=%d", p.Workers),
-			Cells: []string{
-				fmt.Sprintf("%d", p.EffectiveWorkers),
-				fmt.Sprintf("%d", p.Events),
-				fmt.Sprintf("%d", p.CrossEvents),
-				fmt.Sprintf("%d", p.Rounds),
-				fmt.Sprintf("%.1f", p.EventsPerRound),
-				fmt.Sprintf("%d", p.ElidedDomainRounds),
-				sim.Time(p.WidestWindowNs).String(),
-				fmt.Sprintf("%.2f", p.EventsPerSec/1e6),
-				fmt.Sprintf("%.2fx", p.Speedup),
-				p.Digest,
-			},
-		})
-	}
-	if !r.Deterministic {
-		t.Notes = append(t.Notes, "DIGEST MISMATCH: worker counts diverged — determinism violation")
-	}
-	if r.Note != "" {
-		t.Notes = append(t.Notes, r.Note)
-	}
-	return t
+	return digest, s.SyncStats()
 }

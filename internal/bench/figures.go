@@ -184,7 +184,6 @@ func Fig6(images int) []casestudy.Result {
 		cfg.Images = images
 		cfg.Source.Count = images
 	}
-	cfg.KernelWorkers = kernelWorkers
 	variants := Variants()
 	return mapRows(len(variants)+2, func(i int) casestudy.Result {
 		switch {

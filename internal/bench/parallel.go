@@ -19,26 +19,6 @@ func SetParallelism(n int) { engine = parallel.New(n) }
 // Parallelism reports the configured worker count.
 func Parallelism() int { return engine.Workers() }
 
-// kernelWorkers is the per-rig domain-level worker count applied to runners
-// whose rigs have a partitionable topology (the case-study figures). It
-// composes with SetParallelism: the engine shards *across* rigs, and each
-// rig's shard runs its domains on up to this many workers. Results are
-// identical at any setting (the determinism test sweeps both axes).
-var kernelWorkers = 1
-
-// SetKernelWorkers selects the domain-level worker count; n <= 1 keeps
-// every rig on its plain serial kernel. Same concurrency caveat as
-// SetParallelism.
-func SetKernelWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	kernelWorkers = n
-}
-
-// KernelWorkers reports the configured domain-level worker count.
-func KernelWorkers() int { return kernelWorkers }
-
 // mapRows runs job(0..n-1) on the experiment engine and returns the results
 // in index order.
 func mapRows[T any](n int, job func(i int) T) []T {

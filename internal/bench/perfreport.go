@@ -40,10 +40,10 @@ type PerfReport struct {
 	// heap).
 	KernelEventsPerSec   float64 `json:"kernel_events_per_sec"`
 	KernelAllocsPerEvent float64 `json:"kernel_allocs_per_event"`
-	// KernelSyncRounds and KernelSyncEventsPerRound come from one serial pass
-	// of the sharded chain rig: how many barrier rounds the conservative
+	// KernelSyncRounds and KernelSyncEventsPerRound come from one pass of
+	// the sharded chain rig: how many barrier rounds the conservative
 	// scheduler needed and the useful events each carried. They make sync
-	// overhead a number this report tracks, not a note in the kernel sweep.
+	// overhead a number this report tracks.
 	KernelSyncRounds         uint64  `json:"kernel_sync_rounds"`
 	KernelSyncEventsPerRound float64 `json:"kernel_sync_events_per_round"`
 	Note                     string  `json:"note,omitempty"`
@@ -91,7 +91,7 @@ func MeasurePerf(workers int) PerfReport {
 	par := time.Since(start)
 
 	eps, allocs := kernelRate()
-	_, sync := kernelChainRun(1, 2000)
+	_, sync := kernelChainRun(2000)
 	r := PerfReport{
 		CPUs:                     runtime.NumCPU(),
 		GOMAXPROCS:               runtime.GOMAXPROCS(0),

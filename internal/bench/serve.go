@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"snacc/internal/ethernet"
 	"snacc/internal/nvme"
 	"snacc/internal/serve"
 	"snacc/internal/sim"
@@ -75,41 +74,14 @@ func serveSpec(clients int, ops int, phases []workload.PhaseSpec) workload.OpenL
 
 // runServeRig builds a full-stack serving rig — platform, NVMe, URAM
 // streamer, serving tier over the Ethernet link — runs it to quiescence and
-// returns the tier's report. With domain-level workers configured the
-// client fleet and the FPGA side run in separate shard domains joined by
-// wire-latency edges, exactly like the case study's front end; results are
-// byte-identical either way.
+// returns the tier's report.
 func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
-	var (
-		shard *sim.Shard
-		cliK  *sim.Kernel
-		toSrv *sim.Edge
-		toCli *sim.Edge
-	)
 	k := sim.NewKernel()
-	if kernelWorkers > 1 {
-		shard = sim.NewShard(kernelWorkers)
-		cliD := shard.AddDomain("clients")
-		fpga := shard.AddDomain("fpga")
-		k = fpga.Kernel()
-		cliK = cliD.Kernel()
-		look := ethernet.DefaultConfig().EdgeLookahead()
-		toSrv = shard.MustConnect(cliD, fpga, look)
-		toCli = shard.MustConnect(fpga, cliD, look)
-	}
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
 	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
 	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
 	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	backend := streamer.NewClient(st)
-
-	var tier *serve.Tier
-	var err error
-	if shard != nil {
-		tier, err = serve.NewCross(cliK, k, toSrv, toCli, cfg, spec, backend)
-	} else {
-		tier, err = serve.New(k, cfg, spec, backend)
-	}
+	tier, err := serve.New(k, cfg, spec, streamer.NewClient(st))
 	if err != nil {
 		panic(err)
 	}
@@ -124,32 +96,21 @@ func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
 		}
 		ok = true
 	})
-	drain := func() {
-		if shard != nil {
-			shard.Run(0)
-		} else {
-			k.Run(0)
-		}
-	}
-	drain()
+	k.Run(0)
 	if !ok {
 		panic("bench: serve rig initialization failed")
 	}
-	now := k.Now()
-	if shard != nil {
-		now = shard.Now()
-	}
-	if err := tier.Start(now); err != nil {
+	if err := tier.Start(k.Now()); err != nil {
 		panic(err)
 	}
-	drain()
+	k.Run(0)
 	return tier.Report()
 }
 
 // ServeSweep runs the open-loop serving experiment at each client
 // population. Zero/nil arguments select the defaults (10k/100k/1M clients,
 // 4000 requests, the burst schedule). Rigs shard across the experiment
-// engine; rows are deterministic at any parallelism and worker count.
+// engine; rows are deterministic at any parallelism.
 func ServeSweep(clients []int, ops int, phases []workload.PhaseSpec) []ServeSweepRow {
 	if len(clients) == 0 {
 		clients = DefaultServeClients

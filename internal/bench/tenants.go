@@ -47,23 +47,14 @@ const (
 	noisyGap          = 20 * sim.Microsecond
 )
 
-// tenantRig is one URAM streamer fronted by a two-tenant hub, optionally
-// wrapped in a single-domain shard so the rig exercises the sharded-kernel
-// run path when domain-level workers are configured (results are identical
-// either way; the determinism tests sweep both axes).
+// tenantRig is one URAM streamer fronted by a two-tenant hub.
 type tenantRig struct {
-	k     *sim.Kernel
-	shard *sim.Shard
-	hub   *streamer.TenantHub
+	k   *sim.Kernel
+	hub *streamer.TenantHub
 }
 
 func newTenantRig(fifo bool) *tenantRig {
-	r := &tenantRig{}
-	r.k = sim.NewKernel()
-	if kernelWorkers > 1 {
-		r.shard = sim.NewShard(kernelWorkers)
-		r.k = r.shard.AddDomain("fpga").Kernel()
-	}
+	r := &tenantRig{k: sim.NewKernel()}
 	pl := tapasco.NewPlatform(r.k, tapasco.DefaultU280())
 	nvme.New(r.k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
 	stCfg := streamer.DefaultConfig("snacc0", 0, streamer.URAM)
@@ -87,20 +78,11 @@ func newTenantRig(fifo bool) *tenantRig {
 		}
 		ok = true
 	})
-	r.drain()
+	r.k.Run(0)
 	if !ok {
 		panic("bench: tenant rig initialization failed")
 	}
 	return r
-}
-
-// drain runs the rig to quiescence on whichever engine owns it.
-func (r *tenantRig) drain() {
-	if r.shard != nil {
-		r.shard.Run(0)
-	} else {
-		r.k.Run(0)
-	}
 }
 
 // victimLoop issues ops paced 4 KiB random reads and returns via elapsed.
@@ -159,7 +141,7 @@ func runTenantRig(sched string, fifo, withNoisy bool, victimOps, noisyOps int) [
 	if withNoisy {
 		rig.k.Spawn("noisy", noisyLoop(rig.hub.Client(1), noisyOps, &nElapsed))
 	}
-	rig.drain()
+	rig.k.Run(0)
 
 	row := func(tenant int, elapsed sim.Time) TenantSweepRow {
 		st := rig.hub.Stats()[tenant]

@@ -25,21 +25,7 @@ func runSNAcc(v streamer.Variant, cfg Config) (Result, *nvme.Device) {
 }
 
 func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (Result, *nvme.Device) {
-	// With KernelWorkers > 1 the rig splits at the Ethernet wire: the
-	// transmitter FPGA gets its own shard domain, everything PCIe-coupled
-	// (platform, streamer, SSD, receive PEs) stays together, and the two
-	// advance concurrently under conservative sync with the wire latency as
-	// lookahead. With 0 or 1 everything runs on one serial kernel.
-	var (
-		shard *sim.Shard
-		txd   *sim.Domain
-	)
 	k := sim.NewKernel()
-	if cfg.KernelWorkers > 1 {
-		shard = sim.NewShard(cfg.KernelWorkers)
-		txd = shard.AddDomain("txfpga")
-		k = shard.AddDomain("fpga").Kernel()
-	}
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", caseSSDBAR)
 	devCfg.Functional = cfg.Functional
@@ -52,17 +38,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 	st := pl.AddStreamer(stCfg)
 	drv := tapasco.NewDriver(pl, "ssd0", caseSSDBAR)
 
-	var fe *frontEnd
-	if shard != nil {
-		ecfg := ethernetConfig(cfg)
-		look := ecfg.EdgeLookahead()
-		fpga := shard.Domains()[1]
-		toRx := shard.MustConnect(txd, fpga, look)
-		toTx := shard.MustConnect(fpga, txd, look)
-		fe = newFrontEndCross(txd.Kernel(), k, toRx, toTx, cfg)
-	} else {
-		fe = newFrontEnd(k, cfg)
-	}
+	fe := newFrontEnd(k, cfg)
 	perImage := cfg.imageWriteBytes()
 	var start, end sim.Time
 	lat := &sim.Histogram{}
@@ -83,8 +59,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 		// the i-th transmit timestamp for end-to-end latency. The
 		// timestamps ride each dbItem (recorded below as the writes are
 		// issued), never a transmitter-owned slice: the i-th write is
-		// issued before the i-th token can arrive, so the read is safe, and
-		// the transmitter may live in another shard domain.
+		// issued before the i-th token can arrive, so the read is safe.
 		doneC := sim.NewChan[struct{}](k, 1)
 		k.Spawn("dbtokens", func(tp *sim.Proc) {
 			for i := 0; i < cfg.Images; i++ {
@@ -114,11 +89,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 		}
 		doneC.Get(p)
 	})
-	if shard != nil {
-		shard.Run(0)
-	} else {
-		k.Run(0)
-	}
+	k.Run(0)
 
 	res := Result{
 		Variant:        variantName(v),

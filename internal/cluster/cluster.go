@@ -1,8 +1,8 @@
 // Package cluster scales the single-node SNAcc system out over the
 // simulated network: M streamer nodes — each a full TaPaSCo platform with
-// its own NVMe SSD and Streamer, living in its own conservative-parallel
-// DES domain — sit behind the internal/ethernet switch, and a coordinator
-// in the "front" domain speaks an NVMe-oF-style capsule protocol to them
+// its own NVMe SSD and Streamer, living in its own sim.Shard domain — sit
+// behind the internal/ethernet switch, and a coordinator in the "front"
+// domain speaks an NVMe-oF-style capsule protocol to them
 // (protocol.go). A consistent-hash ring (ring.go) shards the logical byte
 // space in chunks with replication factor R: writes fan out to R replicas
 // and acknowledge at a configurable quorum, reads prefer the primary
@@ -78,11 +78,8 @@ type Config struct {
 	// VNodes is the ring's virtual-node count per node (DefaultVNodes
 	// when 0).
 	VNodes int
-	// KernelWorkers is the shard worker budget (min 1; results are
-	// identical at any count). Domains synchronize by per-domain safe
-	// times, so a node whose inbound links are quiet advances past the
-	// global minimum lookahead; sim.Shard.SyncStats exposes the round
-	// counters.
+	// Deprecated: ignored; the cluster's shard runs its domains serially.
+	// Kept because the simulator-cost benchmark sets it.
 	KernelWorkers int
 	// Functional moves real payload bytes end to end.
 	Functional bool
@@ -153,9 +150,6 @@ func (cfg *Config) validate() error {
 	if cfg.ChunkBytes <= 0 || cfg.ChunkBytes%4096 != 0 || cfg.ChunkBytes > 4*sim.MiB {
 		return fmt.Errorf("cluster: ChunkBytes must be a positive multiple of 4 KiB up to 4 MiB, got %d", cfg.ChunkBytes)
 	}
-	if cfg.KernelWorkers < 1 {
-		cfg.KernelWorkers = 1
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * sim.Millisecond
 	}
@@ -176,7 +170,7 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// Plan maps an M-node cluster onto a conservative-parallel shard
+// Plan maps an M-node cluster onto a conservative multi-domain shard
 // partition: the switch and coordinator share the "front" domain, each
 // node is its own domain, and every front<->node edge declares the
 // Ethernet wire propagation delay as lookahead (every delivery a MAC or
@@ -227,7 +221,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	cl := &Cluster{cfg: cfg, eth: ecfg}
-	cl.shard = sim.NewShard(cfg.KernelWorkers)
+	cl.shard = sim.NewShard()
 	plan := Plan(cfg.Nodes, ecfg)
 	domains, edges, err := plan.Build(cl.shard)
 	if err != nil {
@@ -309,9 +303,6 @@ func (cl *Cluster) WriteTimed(p *sim.Proc, addr uint64, n int64) error {
 func (cl *Cluster) Read(p *sim.Proc, addr uint64, n int64) ([]byte, error) {
 	return cl.co.read(p, addr, n)
 }
-
-// KernelWorkers returns the shard worker budget.
-func (cl *Cluster) KernelWorkers() int { return cl.shard.Workers() }
 
 // Capacity returns the cluster's logical byte capacity: one node's
 // namespace (replicas store chunks at their logical addresses).

@@ -290,17 +290,19 @@ func TestClusterPartitionRejoin(t *testing.T) {
 	}
 }
 
-// TestClusterDeterminismAcrossWorkers pins byte-identical behavior at any
-// shard worker count for the node-death scenario.
-func TestClusterDeterminismAcrossWorkers(t *testing.T) {
+// TestClusterDeterminism pins byte-identical behavior for the node-death
+// scenario: two runs with the same seed give the same data digest, stats
+// and span count.
+func TestClusterDeterminism(t *testing.T) {
 	type fingerprint struct {
 		stats  Stats
 		digest uint64
+		spans  int
 	}
-	run := func(workers int) fingerprint {
+	run := func() fingerprint {
 		cfg := DefaultConfig(4, 2, 1)
 		cfg.Seed = 3
-		cfg.KernelWorkers = workers
+		cfg.TraceSpans = true
 		cfg.NodeInjector = killNodeInjector(2, 5)
 		cl := MustNew(cfg)
 		const ops = 16
@@ -327,20 +329,24 @@ func TestClusterDeterminismAcrossWorkers(t *testing.T) {
 				digest *= 1099511628211
 			}
 		})
-		return fingerprint{stats: cl.Stats(), digest: digest}
+		return fingerprint{stats: cl.Stats(), digest: digest, spans: len(cl.Spans())}
 	}
-	base := run(1)
+	base := run()
 	if base.stats.NodeDeaths != 1 {
 		t.Fatalf("scenario did not kill the node: %+v", base.stats)
 	}
-	for _, w := range []int{2, 4} {
-		got := run(w)
-		if got.digest != base.digest {
-			t.Errorf("workers=%d digest %x != workers=1 digest %x", w, got.digest, base.digest)
-		}
-		if fmt.Sprintf("%+v", got.stats) != fmt.Sprintf("%+v", base.stats) {
-			t.Errorf("workers=%d stats diverged:\n  w1: %+v\n  w%d: %+v", w, base.stats, w, got.stats)
-		}
+	if base.spans == 0 {
+		t.Fatal("scenario recorded no spans")
+	}
+	got := run()
+	if got.digest != base.digest {
+		t.Errorf("rerun digest %x != first run digest %x", got.digest, base.digest)
+	}
+	if fmt.Sprintf("%+v", got.stats) != fmt.Sprintf("%+v", base.stats) {
+		t.Errorf("rerun stats diverged:\n  first: %+v\n  rerun: %+v", base.stats, got.stats)
+	}
+	if got.spans != base.spans {
+		t.Errorf("rerun recorded %d spans, first run %d", got.spans, base.spans)
 	}
 }
 

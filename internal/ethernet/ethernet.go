@@ -10,11 +10,7 @@
 // modeled so the tests can demonstrate why the extension exists.
 package ethernet
 
-import (
-	"fmt"
-
-	"snacc/internal/sim"
-)
+import "snacc/internal/sim"
 
 // Frame is one Ethernet frame (or, for efficiency, an aggregate of
 // back-to-back frames totalling Bytes of payload — the wire overhead is
@@ -100,7 +96,8 @@ type MAC struct {
 	// peer receives what we transmit.
 	peer receiver
 	// crossOut, when set, is the shard edge toward the peer's domain; all
-	// peer deliveries ride it instead of the local kernel (ConnectCross).
+	// peer deliveries ride it instead of the local kernel
+	// (Switch.AttachCross).
 	crossOut *sim.Edge
 
 	// txq holds frames awaiting transmission; the transmitter process
@@ -154,36 +151,6 @@ func (m *MAC) wireBytes(n int64) int64 { return m.cfg.WireBytes(n) }
 func Connect(a, b *MAC) {
 	a.peer = b
 	b.peer = a
-}
-
-// ConnectCross links two MACs full duplex across shard domains: frames a
-// transmits ride edge ab into b's domain and vice versa. Each edge must run
-// from the sender's domain kernel to the receiver's, and its lookahead must
-// not exceed the sender's WireLatency — the minimum lead time of every
-// delivery the MAC schedules (see Config.EdgeLookahead).
-func ConnectCross(a, b *MAC, ab, ba *sim.Edge) error {
-	if ab == nil || ba == nil {
-		return fmt.Errorf("ethernet: ConnectCross %s<->%s with nil edge", a.name, b.name)
-	}
-	if ab.From().Kernel() != a.k || ab.To().Kernel() != b.k {
-		return fmt.Errorf("ethernet: ConnectCross %s->%s: edge does not run from %s's domain to %s's",
-			a.name, b.name, a.name, b.name)
-	}
-	if ba.From().Kernel() != b.k || ba.To().Kernel() != a.k {
-		return fmt.Errorf("ethernet: ConnectCross %s->%s: edge does not run from %s's domain to %s's",
-			b.name, a.name, b.name, a.name)
-	}
-	if ab.Lookahead() > a.cfg.EdgeLookahead() {
-		return fmt.Errorf("ethernet: ConnectCross %s->%s: edge lookahead %v exceeds wire latency %v",
-			a.name, b.name, ab.Lookahead(), a.cfg.EdgeLookahead())
-	}
-	if ba.Lookahead() > b.cfg.EdgeLookahead() {
-		return fmt.Errorf("ethernet: ConnectCross %s->%s: edge lookahead %v exceeds wire latency %v",
-			b.name, a.name, ba.Lookahead(), b.cfg.EdgeLookahead())
-	}
-	a.peer, b.peer = b, a
-	a.crossOut, b.crossOut = ab, ba
-	return nil
 }
 
 // schedDeliver schedules a peer delivery at absolute time t, routing over

@@ -74,7 +74,8 @@ func (sw *Switch) Attach(idx int, m *MAC) {
 // AttachCross connects a MAC in another shard domain to switch port idx.
 // toMAC runs from the switch's domain to the MAC's, fromMAC the reverse;
 // both lookaheads must fit within the respective sender's WireLatency
-// (Config.EdgeLookahead), exactly as in ConnectCross.
+// (Config.EdgeLookahead), the minimum lead time of every delivery a MAC or
+// switch port schedules.
 func (sw *Switch) AttachCross(idx int, m *MAC, toMAC, fromMAC *sim.Edge) error {
 	if idx < 0 || idx >= len(sw.ports) {
 		return fmt.Errorf("ethernet: switch %s has no port %d", sw.name, idx)

@@ -93,23 +93,22 @@ type pending struct {
 }
 
 // Tier wires an open-loop client population to a storage backend over one
-// simulated Ethernet link. The client side (its own shard domain under
-// NewCross) generates timed arrivals, coalesces request capsules into
-// frames, and sheds load once the paused link backs its bounded backlog up;
-// the server side decodes frames, tracks connections, and batches requests
-// into the backend, blocking — and therefore pausing the wire — when the
-// dispatch queue fills. All state is partitioned by side: client processes
-// touch only client fields, server processes only server fields, and the
-// two communicate exclusively through encoded frames, which is what keeps
-// the sharded rig race-free and deterministic.
+// simulated Ethernet link. The client side generates timed arrivals,
+// coalesces request capsules into frames, and sheds load once the paused
+// link backs its bounded backlog up; the server side decodes frames, tracks
+// connections, and batches requests into the backend, blocking — and
+// therefore pausing the wire — when the dispatch queue fills. All state is
+// partitioned by side: client processes touch only client fields, server
+// processes only server fields, and the two communicate exclusively through
+// encoded frames, as a real client and server across a wire would.
 type Tier struct {
 	cfg     Config
 	spec    workload.OpenLoopSpec
 	backend streamer.IO
 
-	cliK, srvK *sim.Kernel
-	cliMAC     *ethernet.MAC
-	srvMAC     *ethernet.MAC
+	k      *sim.Kernel
+	cliMAC *ethernet.MAC
+	srvMAC *ethernet.MAC
 
 	// Client-side state.
 	gen         *workload.OpenLoop
@@ -139,23 +138,8 @@ type Tier struct {
 	rejected  int64
 }
 
-// New builds a serving tier with both sides on one kernel.
+// New builds a serving tier with both sides on kernel k.
 func New(k *sim.Kernel, cfg Config, spec workload.OpenLoopSpec, backend streamer.IO) (*Tier, error) {
-	return build(k, k, nil, nil, cfg, spec, backend)
-}
-
-// NewCross builds a serving tier whose client side lives on cliK and server
-// side on srvK, in different shard domains connected by the toSrv/toCli
-// edges (lookahead at least the wire latency). The two sides exchange only
-// encoded frames, so the sharded run is byte-identical to the serial one.
-func NewCross(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, backend streamer.IO) (*Tier, error) {
-	if toSrv == nil || toCli == nil {
-		return nil, fmt.Errorf("serve: cross-domain tier needs both edges")
-	}
-	return build(cliK, srvK, toSrv, toCli, cfg, spec, backend)
-}
-
-func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec workload.OpenLoopSpec, backend streamer.IO) (*Tier, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -180,53 +164,46 @@ func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec work
 		cfg:         cfg,
 		spec:        spec,
 		backend:     backend,
-		cliK:        cliK,
-		srvK:        srvK,
+		k:           k,
 		gen:         gen,
 		outstanding: make(map[uint64]sim.Time),
 		table:       table,
-		dispatchQ:   sim.NewChan[Request](srvK, cfg.DispatchDepth),
-		respQ:       sim.NewChan[Response](srvK, cfg.DispatchDepth),
+		dispatchQ:   sim.NewChan[Request](k, cfg.DispatchDepth),
+		respQ:       sim.NewChan[Response](k, cfg.DispatchDepth),
 	}
-	t.cliMAC = ethernet.NewMAC(cliK, "serve.cli", cfg.Ethernet)
-	t.srvMAC = ethernet.NewMAC(srvK, "serve.srv", cfg.Ethernet)
-	if toSrv != nil {
-		if err := ethernet.ConnectCross(t.cliMAC, t.srvMAC, toSrv, toCli); err != nil {
-			return nil, err
-		}
-	} else {
-		ethernet.Connect(t.cliMAC, t.srvMAC)
-	}
+	t.cliMAC = ethernet.NewMAC(k, "serve.cli", cfg.Ethernet)
+	t.srvMAC = ethernet.NewMAC(k, "serve.srv", cfg.Ethernet)
+	ethernet.Connect(t.cliMAC, t.srvMAC)
 
 	lanes := backend.Lanes()
 	t.pendRead = make([]*sim.Chan[Request], lanes)
 	t.pendWrite = make([]*sim.Chan[Request], lanes)
 	for i := 0; i < lanes; i++ {
-		t.pendRead[i] = sim.NewChan[Request](srvK, cfg.LaneWindow)
-		t.pendWrite[i] = sim.NewChan[Request](srvK, cfg.LaneWindow)
+		t.pendRead[i] = sim.NewChan[Request](k, cfg.LaneWindow)
+		t.pendWrite[i] = sim.NewChan[Request](k, cfg.LaneWindow)
 		lane := i
-		srvK.Spawn(fmt.Sprintf("serve.rdrain%d", lane), func(p *sim.Proc) {
+		k.Spawn(fmt.Sprintf("serve.rdrain%d", lane), func(p *sim.Proc) {
 			p.SetDaemon(true)
 			t.drainLoop(p, lane, true)
 		})
-		srvK.Spawn(fmt.Sprintf("serve.wdrain%d", lane), func(p *sim.Proc) {
+		k.Spawn(fmt.Sprintf("serve.wdrain%d", lane), func(p *sim.Proc) {
 			p.SetDaemon(true)
 			t.drainLoop(p, lane, false)
 		})
 	}
-	srvK.Spawn("serve.rx", func(p *sim.Proc) {
+	k.Spawn("serve.rx", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		t.serverRxLoop(p)
 	})
-	srvK.Spawn("serve.dispatch", func(p *sim.Proc) {
+	k.Spawn("serve.dispatch", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		t.dispatchLoop(p)
 	})
-	srvK.Spawn("serve.resptx", func(p *sim.Proc) {
+	k.Spawn("serve.resptx", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		t.respTxLoop(p)
 	})
-	cliK.Spawn("serve.clirx", func(p *sim.Proc) {
+	k.Spawn("serve.clirx", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		t.clientRxLoop(p)
 	})
@@ -234,7 +211,7 @@ func build(cliK, srvK *sim.Kernel, toSrv, toCli *sim.Edge, cfg Config, spec work
 }
 
 // Start schedules the open-loop sender at time at (which must not be in the
-// client kernel's past). The arrival clock starts there: an arrival due at
+// kernel's past). The arrival clock starts there: an arrival due at
 // stream time d goes on the wire no earlier than at+d.
 func (t *Tier) Start(at sim.Time) error {
 	if t.started {
@@ -243,8 +220,8 @@ func (t *Tier) Start(at sim.Time) error {
 	t.started = true
 	t.startAt = at
 	t.lastResp = at
-	t.cliK.At(at, func() {
-		t.cliK.Spawn("serve.sender", t.senderLoop)
+	t.k.At(at, func() {
+		t.k.Spawn("serve.sender", t.senderLoop)
 	})
 	return nil
 }

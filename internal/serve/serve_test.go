@@ -40,8 +40,8 @@ func fastSpec(ops int64) workload.OpenLoopSpec {
 	}
 }
 
-// runSerial builds and runs a single-kernel tier to quiescence.
-func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b streamer.IO) Report {
+// runTier builds and runs a tier to quiescence.
+func runTier(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b streamer.IO) Report {
 	t.Helper()
 	k := sim.NewKernel()
 	tier, err := New(k, cfg, spec, b)
@@ -52,26 +52,6 @@ func runSerial(t *testing.T, cfg Config, spec workload.OpenLoopSpec, b streamer.
 		t.Fatal(err)
 	}
 	k.Run(0)
-	return tier.Report()
-}
-
-// runCross builds and runs the tier across two shard domains.
-func runCross(t *testing.T, workers int, cfg Config, spec workload.OpenLoopSpec, b streamer.IO) Report {
-	t.Helper()
-	shard := sim.NewShard(workers)
-	cli := shard.AddDomain("clients")
-	srv := shard.AddDomain("server")
-	look := ethernet.DefaultConfig().EdgeLookahead()
-	toSrv := shard.MustConnect(cli, srv, look)
-	toCli := shard.MustConnect(srv, cli, look)
-	tier, err := NewCross(cli.Kernel(), srv.Kernel(), toSrv, toCli, cfg, spec, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tier.Start(0); err != nil {
-		t.Fatal(err)
-	}
-	shard.Run(0)
 	return tier.Report()
 }
 
@@ -93,7 +73,7 @@ func checkConservation(t *testing.T, r Report) {
 }
 
 func TestTierEndToEnd(t *testing.T) {
-	r := runSerial(t, Config{}, fastSpec(400), stubBackend{lanes: 1, delay: sim.Microsecond})
+	r := runTier(t, Config{}, fastSpec(400), stubBackend{lanes: 1, delay: sim.Microsecond})
 	checkConservation(t, r)
 	if r.Generated != 400 {
 		t.Fatalf("generated %d, want 400", r.Generated)
@@ -160,61 +140,44 @@ func TestBackpressureBounds(t *testing.T) {
 	}
 	slow := stubBackend{lanes: 1, delay: 100 * sim.Microsecond}
 
-	for _, tc := range []struct {
-		name string
-		run  func() Report
-	}{
-		{"serial", func() Report { return runSerial(t, cfg, spec, slow) }},
-		{"sharded", func() Report { return runCross(t, 2, cfg, spec, slow) }},
-	} {
-		r := tc.run()
-		if r.Generated != r.Sent+r.Dropped {
-			t.Fatalf("%s: conservation: generated %d != sent %d + dropped %d",
-				tc.name, r.Generated, r.Sent, r.Dropped)
-		}
-		if r.Sent != r.Completed+r.Failed+r.Unmatched {
-			t.Fatalf("%s: conservation: sent %d != completed %d + failed %d + unmatched %d",
-				tc.name, r.Sent, r.Completed, r.Failed, r.Unmatched)
-		}
-		if r.PeakDispatch > r.DispatchCap {
-			t.Fatalf("%s: dispatch queue peaked at %d, bound %d", tc.name, r.PeakDispatch, r.DispatchCap)
-		}
-		if r.PeakConns > r.ConnCapacity {
-			t.Fatalf("%s: connection table peaked at %d, capacity %d", tc.name, r.PeakConns, r.ConnCapacity)
-		}
-		if r.PausesSent == 0 {
-			t.Fatalf("%s: overload never tripped a pause frame", tc.name)
-		}
-		if r.PausesHonored == 0 {
-			t.Fatalf("%s: client never honored a pause", tc.name)
-		}
-		if r.Dropped == 0 {
-			t.Fatalf("%s: overload shed nothing — backlog must have grown unboundedly", tc.name)
-		}
-		if r.FramesDropped != 0 {
-			t.Fatalf("%s: %d frames dropped in the MACs — shedding must happen above the link", tc.name, r.FramesDropped)
-		}
+	r := runTier(t, cfg, spec, slow)
+	if r.Generated != r.Sent+r.Dropped {
+		t.Fatalf("conservation: generated %d != sent %d + dropped %d", r.Generated, r.Sent, r.Dropped)
+	}
+	if r.Sent != r.Completed+r.Failed+r.Unmatched {
+		t.Fatalf("conservation: sent %d != completed %d + failed %d + unmatched %d",
+			r.Sent, r.Completed, r.Failed, r.Unmatched)
+	}
+	if r.PeakDispatch > r.DispatchCap {
+		t.Fatalf("dispatch queue peaked at %d, bound %d", r.PeakDispatch, r.DispatchCap)
+	}
+	if r.PeakConns > r.ConnCapacity {
+		t.Fatalf("connection table peaked at %d, capacity %d", r.PeakConns, r.ConnCapacity)
+	}
+	if r.PausesSent == 0 {
+		t.Fatal("overload never tripped a pause frame")
+	}
+	if r.PausesHonored == 0 {
+		t.Fatal("client never honored a pause")
+	}
+	if r.Dropped == 0 {
+		t.Fatal("overload shed nothing — backlog must have grown unboundedly")
+	}
+	if r.FramesDropped != 0 {
+		t.Fatalf("%d frames dropped in the MACs — shedding must happen above the link", r.FramesDropped)
 	}
 }
 
-// TestTierShardIdentity pins the determinism contract: the same spec run
-// serially and across shard domains at several worker counts yields
-// bit-identical reports (Report is comparable, so == covers every field
-// including the latency histogram).
-func TestTierShardIdentity(t *testing.T) {
+// TestTierDeterminism pins the determinism contract: the same spec run
+// twice yields bit-identical reports (Report is comparable, so == covers
+// every field including the latency histogram).
+func TestTierDeterminism(t *testing.T) {
 	spec := fastSpec(300)
 	b := stubBackend{lanes: 1, delay: 2 * sim.Microsecond}
-	serial := runSerial(t, Config{}, spec, b)
-	checkConservation(t, serial)
-	for _, w := range []int{1, 2, 4} {
-		cross := runCross(t, w, Config{}, spec, b)
-		if cross != serial {
-			t.Fatalf("workers=%d report diverged:\nserial: %+v\ncross:  %+v", w, serial, cross)
-		}
-	}
-	again := runSerial(t, Config{}, spec, b)
-	if again != serial {
-		t.Fatalf("repeat serial run diverged:\n%+v\n%+v", serial, again)
+	first := runTier(t, Config{}, spec, b)
+	checkConservation(t, first)
+	if again := runTier(t, Config{}, spec, b); again != first {
+		t.Fatalf("repeat run diverged:\n%+v\n%+v", first, again)
 	}
 }
 
@@ -223,7 +186,7 @@ func TestTierShardIdentity(t *testing.T) {
 func TestTierTenantLanes(t *testing.T) {
 	spec := fastSpec(300)
 	spec.Tenants = 4
-	r := runSerial(t, Config{}, spec, stubBackend{lanes: 4, delay: sim.Microsecond})
+	r := runTier(t, Config{}, spec, stubBackend{lanes: 4, delay: sim.Microsecond})
 	checkConservation(t, r)
 	if r.Completed != 300 {
 		t.Fatalf("completed %d, want 300", r.Completed)
@@ -253,9 +216,6 @@ func TestTierConfigErrors(t *testing.T) {
 	}
 	if _, err := New(k, Config{DispatchDepth: -1}, good, b); err == nil {
 		t.Fatal("negative depth accepted")
-	}
-	if _, err := NewCross(k, k, nil, nil, Config{}, good, b); err == nil {
-		t.Fatal("cross tier without edges accepted")
 	}
 
 	tier, err := New(k, Config{}, good, b)

@@ -2,23 +2,22 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // maxTime is the +infinity sentinel for horizon arithmetic.
 const maxTime = Time(1<<63 - 1)
 
-// This file implements conservative-parallel discrete-event simulation over
-// multiple Kernels ("domains"). The partition follows the modeled hardware:
+// This file implements a conservative multi-domain scheduler over multiple
+// Kernels ("domains"). The partition follows the modeled hardware:
 // components that exchange events only across links with a known minimum
-// latency (an Ethernet wire, a PCIe hop) can live in separate domains, and
-// that latency becomes the edge's *lookahead* — the guarantee that a domain
-// executing at time t cannot receive a new event before t+lookahead.
+// latency (an Ethernet wire, a PCIe hop) live in separate domains, and that
+// latency becomes the edge's *lookahead* — the guarantee that a domain
+// executing at time t cannot receive a new event before t+lookahead. The
+// cluster, whose nodes talk only over switch ports, is the model built on
+// it; every domain runs on the caller's goroutine, one after another.
 //
-// Synchronization is barrier-based with *per-domain safe times*. Every
+// Synchronization is round-based with *per-domain safe times*. Every
 // round the shard computes, for each domain u, a lower bound est(u) on the
 // time of u's next cross-domain send (null-message style earliest output
 // time):
@@ -43,22 +42,16 @@ const maxTime = Time(1<<63 - 1)
 //
 // so a domain fed only through slow links (an Ethernet wire) takes windows
 // as wide as those links allow, and a domain whose upstream senders are all
-// drained runs clear to its own queue tail — instead of every domain
-// marching in lockstep by the single global minimum lookahead. A domain
-// whose queue head is at or beyond its window is elided from the round
-// entirely: no runWindow call, no slot in the worker hand-off.
+// drained runs clear to its own queue tail. A domain whose queue head is at
+// or beyond its window is elided from the round entirely: no runWindow call.
 //
-// Each round, every non-elided domain executes events strictly below its
-// window in parallel on a persistent worker pool (spawned once per Run,
-// released on a reusable channel barrier each round — not re-created per
-// round). Cross-domain events produced during the round are buffered per
-// source domain and merged at the barrier in (timestamp, source-domain id,
-// source sequence) order, so the destination kernel assigns its
-// tie-breaking sequence numbers identically at any worker count — results
-// are byte-identical whether the round ran on one worker or sixteen. The
-// windows themselves are pure functions of barrier-time queue state, so the
-// round structure — and therefore every delivery point — is also identical
-// at any worker count.
+// Each round, every non-elided domain executes its events strictly below its
+// window, in domain order. Cross-domain events produced during the round are
+// buffered per source domain and merged at the barrier in (timestamp,
+// source-domain id, source sequence) order, so the destination kernel
+// assigns its tie-breaking sequence numbers from a fixed order. The windows
+// are pure functions of barrier-time queue state, so the round structure —
+// and therefore every delivery point — is reproducible run to run.
 
 // Domain is one sub-kernel of a Shard: a private Kernel plus the outbox for
 // cross-domain events it produces. All model state built on the domain's
@@ -70,9 +63,8 @@ type Domain struct {
 	name string
 	k    *Kernel
 
-	// out buffers cross-domain events produced during the current round;
-	// only this domain's worker appends, so no locking. The backing array
-	// is recycled across rounds.
+	// out buffers cross-domain events produced during the current round.
+	// The backing array is recycled across rounds.
 	out []xevent
 	// xseq orders this domain's cross-domain sends for deterministic
 	// barrier merging.
@@ -82,7 +74,7 @@ type Domain struct {
 	// causes (see SetTurnaround). Zero promises nothing.
 	turnaround Time
 	// window is the current round's execution bound, written at the
-	// barrier and read by whichever pool worker runs the domain.
+	// barrier.
 	window Time
 }
 
@@ -191,12 +183,11 @@ func (e *Edge) At(t Time, fn func()) {
 // current time; d must be at least the edge's lookahead.
 func (e *Edge) After(d Time, fn func()) { e.At(e.src.k.now+d, fn) }
 
-// Shard is a conservative-parallel scheduler over communicating domains.
+// Shard is a conservative serial scheduler over communicating domains.
 // Create one with NewShard, partition the model with AddDomain, declare
 // every cross-domain link with Connect, then Run. With a single domain and
 // no edges, Run degenerates to the domain kernel's ordinary serial drain.
 type Shard struct {
-	workers int
 	domains []*Domain
 	edges   []*Edge
 
@@ -212,15 +203,6 @@ type Shard struct {
 	est    []Time
 	active []*Domain
 
-	// Persistent round pool: poolHelpers goroutines spawned lazily on the
-	// first multi-domain round of a Run, parked on poolStart between
-	// rounds, and released by closing the channel when Run returns. next
-	// is the atomic work-steal cursor into active.
-	poolStart   chan struct{}
-	poolHelpers int
-	poolDone    sync.WaitGroup
-	next        int64
-
 	// Stats (see SyncStats).
 	rounds           uint64
 	crossDelivered   uint64
@@ -230,19 +212,8 @@ type Shard struct {
 	narrowest        Time // 0 until the first finite window is observed
 }
 
-// NewShard returns an empty shard. workers <= 0 selects GOMAXPROCS; the
-// per-round concurrency is additionally capped by the domain count.
-// workers == 1 executes every round inline on the caller's goroutine in
-// domain order — the exact serial code path, with no pool involved.
-func NewShard(workers int) *Shard {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Shard{workers: workers}
-}
-
-// Workers returns the configured worker budget.
-func (s *Shard) Workers() int { return s.workers }
+// NewShard returns an empty shard.
+func NewShard() *Shard { return &Shard{} }
 
 // AddDomain creates a new domain with its own kernel.
 func (s *Shard) AddDomain(name string) *Domain {
@@ -251,14 +222,12 @@ func (s *Shard) AddDomain(name string) *Domain {
 	return d
 }
 
-// Domains returns the shard's domains in id order.
-func (s *Shard) Domains() []*Domain { return s.domains }
-
 // Connect declares a directed edge from src to dst with the given
-// lookahead. A non-positive lookahead is rejected: conservative
-// synchronization advances the global window by the minimum lookahead each
-// round, so a zero or negative value could never make progress — the error
-// surfaces at build time instead of as a runtime deadlock.
+// lookahead. A non-positive lookahead is rejected: a domain's window is its
+// upstream senders' earliest send time plus the edge lookahead, so a zero
+// lookahead would let the window collapse onto the domain's own queue head
+// and the round could never make progress — the error surfaces at build
+// time instead of as a round that cannot advance.
 func (s *Shard) Connect(src, dst *Domain, lookahead Time) (*Edge, error) {
 	if src == nil || dst == nil {
 		return nil, fmt.Errorf("sim: Connect with nil domain")
@@ -309,7 +278,7 @@ func (s *Shard) CrossEvents() uint64 { return s.crossDelivered }
 // often idle domains were elided from rounds entirely, and the spread of
 // per-domain window widths the safe-time computation produced. Every field
 // is a pure function of barrier-time queue state, so the numbers are
-// identical at any worker count.
+// reproducible run to run.
 type SyncStats struct {
 	// Rounds is the number of synchronization windows executed; Events and
 	// CrossEvents are the work they carried. EventsPerRound is their ratio
@@ -320,8 +289,7 @@ type SyncStats struct {
 	EventsPerRound float64
 	// ElidedDomainRounds counts domain×round slots skipped because the
 	// domain's queue head was at or beyond its window (including drained
-	// domains) — rounds that cost neither a runWindow call nor a worker
-	// hand-off.
+	// domains) — slots that cost no runWindow call.
 	ElidedDomainRounds uint64
 	// UnboundedWindows counts executed domain-rounds whose safe time was
 	// unbounded (no inbound edge could ever constrain them), letting the
@@ -374,7 +342,8 @@ func (s *Shard) Stop() {
 // deliver drains every domain's outbox into the destination kernels in
 // (timestamp, source domain, source sequence) order. Scheduling order
 // determines the destination kernel's tie-breaking sequence numbers, so the
-// deterministic merge keeps results independent of the worker count.
+// deterministic merge keeps results independent of the order in which the
+// source domains ran.
 func (s *Shard) deliver() {
 	buf := s.inbox[:0]
 	for _, d := range s.domains {
@@ -440,7 +409,6 @@ func (s *Shard) Run(horizon Time) Time {
 	for _, d := range s.domains {
 		d.k.stopped = false
 	}
-	defer s.releasePool()
 	for {
 		s.deliver()
 		lbts := s.lbts()
@@ -472,7 +440,7 @@ func (s *Shard) Run(horizon Time) Time {
 // computeRound derives every domain's execution window for this round from
 // barrier-time queue state (see the file header for the math) and fills
 // s.active with the domains that have work below their window. Purely
-// deterministic: no worker-count or timing dependence.
+// deterministic: no wall-clock dependence.
 func (s *Shard) computeRound(horizon Time) {
 	n := len(s.domains)
 	if cap(s.est) < n {
@@ -542,87 +510,18 @@ func (s *Shard) computeRound(horizon Time) {
 }
 
 // runRound executes one synchronization round: every active domain runs
-// its events strictly below its own window. Domains share no mutable state
-// (cross effects ride the outboxes), so they execute concurrently; with one
-// effective worker the loop below is the exact serial path.
+// its events strictly below its own window, in domain order. Domains share
+// no mutable state (cross effects ride the outboxes), so the order within a
+// round does not change the result.
 func (s *Shard) runRound() {
-	n := len(s.active)
-	if n == 0 {
+	if len(s.active) == 0 {
 		// Unreachable: the LBTS domain's window strictly exceeds its own
 		// head (positive lookaheads), so every round makes progress. Guard
 		// against an infinite Run loop if the invariant is ever broken.
 		panic("sim: shard round elided every domain (safe-time bug)")
 	}
-	w := s.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for _, d := range s.active {
-			d.k.runWindow(d.window)
-		}
-		return
-	}
-	if s.poolStart == nil {
-		s.spawnPool()
-	}
-	atomic.StoreInt64(&s.next, 0)
-	s.poolDone.Add(s.poolHelpers)
-	for i := 0; i < s.poolHelpers; i++ {
-		s.poolStart <- struct{}{}
-	}
-	s.drainActive() // the caller is the pool's first worker
-	s.poolDone.Wait()
-}
-
-// spawnPool starts the persistent helper goroutines for this Run: one per
-// worker beyond the caller, capped by the domain count. Helpers park on
-// poolStart between rounds (each round's token send publishes that round's
-// active list and windows) and exit when releasePool closes the channel.
-func (s *Shard) spawnPool() {
-	helpers := s.workers
-	if helpers > len(s.domains) {
-		helpers = len(s.domains)
-	}
-	helpers--
-	s.poolHelpers = helpers
-	s.poolStart = make(chan struct{})
-	// Helpers hold the channel by value: releasePool nils the struct field
-	// for the next Run while they are still draining out of the closed
-	// channel, so they must never re-read it.
-	start := s.poolStart
-	for i := 0; i < helpers; i++ {
-		go func() {
-			for range start {
-				s.drainActive()
-				s.poolDone.Done()
-			}
-		}()
-	}
-}
-
-// drainActive work-steals domains off the active list until it is empty.
-// The steal order does not matter: domains are mutually independent within
-// a round, and the barrier merge restores the deterministic global order.
-func (s *Shard) drainActive() {
-	for {
-		i := atomic.AddInt64(&s.next, 1) - 1
-		if i >= int64(len(s.active)) {
-			return
-		}
-		d := s.active[i]
+	for _, d := range s.active {
 		d.k.runWindow(d.window)
-	}
-}
-
-// releasePool shuts the persistent pool down at the end of a Run; parked
-// helpers wake on the closed channel and exit without touching shard state.
-// The next Run spawns a fresh pool on its first multi-domain round.
-func (s *Shard) releasePool() {
-	if s.poolStart != nil {
-		close(s.poolStart)
-		s.poolStart = nil
-		s.poolHelpers = 0
 	}
 }
 
@@ -687,18 +586,6 @@ type Plan struct {
 	// cross-domain event with a cross-domain send faster than the stated
 	// delay; omitted domains promise nothing.
 	Turnarounds map[string]Time
-}
-
-// MinLookahead returns the smallest edge lookahead — the per-round horizon
-// increment the plan sustains — or 0 for a plan with no edges.
-func (p Plan) MinLookahead() Time {
-	min := Time(0)
-	for i, e := range p.Edges {
-		if i == 0 || e.Lookahead < min {
-			min = e.Lookahead
-		}
-	}
-	return min
 }
 
 // Validate checks the plan: non-empty unique domain names, edge endpoints

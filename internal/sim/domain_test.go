@@ -11,13 +11,13 @@ import (
 // cross-domain sends with per-edge lookahead, and same-timestamp collisions.
 // It returns one FNV-1a digest per domain over (event time, tag) — combined
 // in domain order, the digests pin the execution byte-for-byte.
-func ringRig(workers int) (digests []uint64, events uint64, rounds uint64) {
+func ringRig() (digests []uint64, events uint64, rounds uint64) {
 	const (
 		domains  = 4
 		look     = 50 * Nanosecond
 		messages = 200
 	)
-	s := NewShard(workers)
+	s := NewShard()
 	ds := make([]*Domain, domains)
 	for i := range ds {
 		ds[i] = s.AddDomain(fmt.Sprintf("d%d", i))
@@ -64,23 +64,21 @@ func ringRig(workers int) (digests []uint64, events uint64, rounds uint64) {
 	return dig, s.EventsExecuted(), s.Rounds()
 }
 
-// TestShardDeterminismAcrossWorkers pins the core guarantee: the ring rig's
-// per-domain digests, total event count and round count are identical at
-// every worker count.
-func TestShardDeterminismAcrossWorkers(t *testing.T) {
-	refDig, refEvents, refRounds := ringRig(1)
+// TestShardRingDeterminism pins the core guarantee: the ring rig's
+// per-domain digests, total event count and round count are identical
+// from run to run.
+func TestShardRingDeterminism(t *testing.T) {
+	refDig, refEvents, refRounds := ringRig()
 	if refEvents == 0 {
 		t.Fatal("ring rig executed no events")
 	}
-	for _, w := range []int{2, 4, 8} {
-		dig, events, rounds := ringRig(w)
-		if events != refEvents || rounds != refRounds {
-			t.Fatalf("workers=%d: events/rounds = %d/%d, want %d/%d", w, events, rounds, refEvents, refRounds)
-		}
-		for i := range dig {
-			if dig[i] != refDig[i] {
-				t.Fatalf("workers=%d: domain %d digest %#x diverged from serial %#x", w, i, dig[i], refDig[i])
-			}
+	dig, events, rounds := ringRig()
+	if events != refEvents || rounds != refRounds {
+		t.Fatalf("rerun: events/rounds = %d/%d, want %d/%d", events, rounds, refEvents, refRounds)
+	}
+	for i := range dig {
+		if dig[i] != refDig[i] {
+			t.Fatalf("rerun: domain %d digest %#x diverged from first run %#x", i, dig[i], refDig[i])
 		}
 	}
 }
@@ -101,7 +99,7 @@ func TestShardSingleDomainMatchesKernel(t *testing.T) {
 	wantTrace := build(plain)
 	plainEnd := plain.Run(0)
 
-	s := NewShard(4)
+	s := NewShard()
 	d := s.AddDomain("sys")
 	gotTrace := build(d.Kernel())
 	end := s.Run(0)
@@ -124,42 +122,37 @@ func TestShardSingleDomainMatchesKernel(t *testing.T) {
 
 // TestShardCrossDomainTieBreak pins the barrier merge order: same-timestamp
 // deliveries from different source domains execute in (domain id, sequence)
-// order at every worker count.
+// order, independent of the order the sources scheduled their events in.
 func TestShardCrossDomainTieBreak(t *testing.T) {
-	run := func(workers int) []string {
-		s := NewShard(workers)
-		sink := s.AddDomain("sink")
-		srcA := s.AddDomain("a")
-		srcB := s.AddDomain("b")
-		ea := s.MustConnect(srcA, sink, 10)
-		eb := s.MustConnect(srcB, sink, 10)
-		var order []string
-		// Both sources schedule deliveries for the same destination
-		// timestamp, from events at the same source timestamp. srcB's
-		// kernel event is scheduled before srcA's, so kernel scheduling
-		// order must not leak into the merge order.
-		srcB.Kernel().At(5, func() {
-			eb.At(20, func() { order = append(order, "b1") })
-			eb.At(20, func() { order = append(order, "b2") })
-		})
-		srcA.Kernel().At(5, func() {
-			ea.At(20, func() { order = append(order, "a1") })
-		})
-		s.Run(0)
-		return order
-	}
+	s := NewShard()
+	sink := s.AddDomain("sink")
+	srcA := s.AddDomain("a")
+	srcB := s.AddDomain("b")
+	ea := s.MustConnect(srcA, sink, 10)
+	eb := s.MustConnect(srcB, sink, 10)
+	var order []string
+	// Both sources schedule deliveries for the same destination
+	// timestamp, from events at the same source timestamp. srcB's
+	// kernel event is scheduled before srcA's, so kernel scheduling
+	// order must not leak into the merge order.
+	srcB.Kernel().At(5, func() {
+		eb.At(20, func() { order = append(order, "b1") })
+		eb.At(20, func() { order = append(order, "b2") })
+	})
+	srcA.Kernel().At(5, func() {
+		ea.At(20, func() { order = append(order, "a1") })
+	})
+	s.Run(0)
 	want := "a1,b1,b2" // domain a (id 1) merges before b (id 2); b's sends keep their sequence order
-	for _, w := range []int{1, 2, 4} {
-		if got := strings.Join(run(w), ","); got != want {
-			t.Fatalf("workers=%d: delivery order %q, want %q", w, got, want)
-		}
+	if got := strings.Join(order, ","); got != want {
+		t.Fatalf("delivery order %q, want %q", got, want)
 	}
 }
 
 // TestConnectValidation pins the build-time rejection of partitions that
 // could never synchronize.
 func TestConnectValidation(t *testing.T) {
-	s := NewShard(2)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	if _, err := s.Connect(a, b, 0); err == nil || !strings.Contains(err.Error(), "lookahead") {
@@ -174,7 +167,7 @@ func TestConnectValidation(t *testing.T) {
 	if _, err := s.Connect(nil, b, 10); err == nil {
 		t.Fatal("nil domain accepted")
 	}
-	other := NewShard(2)
+	other := NewShard()
 	c := other.AddDomain("c")
 	if _, err := s.Connect(a, c, 10); err == nil {
 		t.Fatal("cross-shard edge accepted")
@@ -200,7 +193,7 @@ func TestConnectValidation(t *testing.T) {
 // cross-domain event closer than the declared lookahead is a model bug and
 // must fail loudly, not corrupt the horizon.
 func TestEdgeLookaheadViolationPanics(t *testing.T) {
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	e := s.MustConnect(a, b, 100)
@@ -223,7 +216,7 @@ func TestEdgeLookaheadViolationPanics(t *testing.T) {
 // TestShardDeadlockPanics pins shard-wide deadlock detection, including the
 // offending domain's name in the message.
 func TestShardDeadlockPanics(t *testing.T) {
-	s := NewShard(2)
+	s := NewShard()
 	a := s.AddDomain("alpha")
 	b := s.AddDomain("beta")
 	s.MustConnect(a, b, 10)
@@ -244,7 +237,7 @@ func TestShardDeadlockPanics(t *testing.T) {
 // TestShardDaemonsIdleCleanly pins the daemon exemption: parked daemon
 // service loops are not a deadlock.
 func TestShardDaemonsIdleCleanly(t *testing.T) {
-	s := NewShard(2)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	e := s.MustConnect(a, b, 10)
@@ -268,7 +261,7 @@ func TestShardDaemonsIdleCleanly(t *testing.T) {
 // before the horizon run, later events stay pending, and a subsequent Run
 // resumes them.
 func TestShardHorizon(t *testing.T) {
-	s := NewShard(2)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	e := s.MustConnect(a, b, 5)
@@ -298,7 +291,7 @@ func TestShardHorizon(t *testing.T) {
 // TestShardStop pins Stop: the run returns after the current round and a
 // later Run picks the remaining events back up.
 func TestShardStop(t *testing.T) {
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	s.MustConnect(a, b, 1000)
@@ -317,7 +310,7 @@ func TestShardStop(t *testing.T) {
 
 // TestEdgeAfter pins the relative-time helper.
 func TestEdgeAfter(t *testing.T) {
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	e := s.MustConnect(a, b, 7)
@@ -333,7 +326,7 @@ func TestEdgeAfter(t *testing.T) {
 // to sharded execution: steady-state intra-domain scheduling under the
 // conservative loop allocates nothing, even with edges declared.
 func TestShardZeroAllocIntraDomain(t *testing.T) {
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	s.MustConnect(a, b, 100)
@@ -371,7 +364,7 @@ func TestPlanValidateBuild(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad plan %d validated", i)
 		}
-		if _, _, err := p.Build(NewShard(1)); err == nil {
+		if _, _, err := p.Build(NewShard()); err == nil {
 			t.Errorf("bad plan %d built", i)
 		}
 	}
@@ -387,13 +380,7 @@ func TestPlanValidateBuild(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("good plan rejected: %v", err)
 	}
-	if got := p.MinLookahead(); got != 450 {
-		t.Fatalf("MinLookahead = %v, want 450", got)
-	}
-	if (Plan{Domains: []string{"x"}}).MinLookahead() != 0 {
-		t.Fatal("edgeless plan MinLookahead != 0")
-	}
-	s := NewShard(2)
+	s := NewShard()
 	domains, edges, err := p.Build(s)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -404,8 +391,8 @@ func TestPlanValidateBuild(t *testing.T) {
 	if e := edges["pcie->nvme0"]; e == nil || e.From() != domains["pcie"] || e.To() != domains["nvme0"] || e.Lookahead() != 450 {
 		t.Fatalf("edge map wrong: %+v", edges)
 	}
-	if len(s.Domains()) != 3 || s.Workers() != 2 {
-		t.Fatalf("shard state wrong: %d domains, %d workers", len(s.Domains()), s.Workers())
+	if len(s.domains) != 3 {
+		t.Fatalf("shard state wrong: %d domains", len(s.domains))
 	}
 }
 
@@ -413,8 +400,8 @@ func TestPlanValidateBuild(t *testing.T) {
 // model (Chan rendezvous, Sleep) works unchanged inside domains while cross
 // effects ride the edges.
 func TestShardProcsAndChansWithinDomains(t *testing.T) {
-	run := func(workers int) []int64 {
-		s := NewShard(workers)
+	run := func() []int64 {
+		s := NewShard()
 		prod := s.AddDomain("prod")
 		cons := s.AddDomain("cons")
 		e := s.MustConnect(prod, cons, 25)
@@ -441,13 +428,11 @@ func TestShardProcsAndChansWithinDomains(t *testing.T) {
 		s.Run(0)
 		return got
 	}
-	ref := run(1)
+	ref := run()
 	if len(ref) != 20 {
 		t.Fatalf("consumed %d values, want 20", len(ref))
 	}
-	for _, w := range []int{2, 4} {
-		if got := run(w); fmt.Sprint(got) != fmt.Sprint(ref) {
-			t.Fatalf("workers=%d diverged:\n%v\nwant\n%v", w, got, ref)
-		}
+	if got := run(); fmt.Sprint(got) != fmt.Sprint(ref) {
+		t.Fatalf("rerun diverged:\n%v\nwant\n%v", got, ref)
 	}
 }

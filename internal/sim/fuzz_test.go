@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// FuzzShardSchedule cross-checks the conservative-parallel scheduler against
+// FuzzShardSchedule cross-checks the conservative multi-domain scheduler against
 // the flat serial kernel on randomized scenarios: an arbitrary domain graph
 // (1-4 domains, random lookaheads, optional muted edges and turnaround
 // declarations) drives a deterministic hash-derived event tree — folds,
 // local children, silent leaves, cross-domain sends — and the harness
 // asserts:
 //
-//   - workers ∈ {1, 2, 4} produce identical per-domain execution chains
-//     (order-sensitive digests), event counts, and round counts;
+//   - two shard runs of the same scenario produce identical per-domain
+//     execution chains (order-sensitive digests), event counts, and round
+//     counts;
 //   - the shard's commutative digest and per-domain event counts equal a
 //     flat serial Kernel executing the same scenario with edges replaced by
 //     plain At scheduling at the same timestamps.
@@ -22,7 +23,7 @@ import (
 // shard delivers same-timestamp cross-domain events in (time, src domain,
 // src seq) order while a flat kernel interleaves them in send order, so the
 // two executions agree on *what* runs and *when* but may legally disagree on
-// tie order between domains. Within one domain — and between worker counts —
+// tie order between domains. Within one domain — and between shard runs —
 // order is pinned exactly.
 //
 // Event behavior is a pure function of a self-contained event id (hashed
@@ -33,7 +34,7 @@ func FuzzShardSchedule(f *testing.F) {
 	// with turnarounds, and a 3-domain cycle with one muted edge.
 	f.Add([]byte{0})
 	f.Add([]byte{
-		2,                            // 3 domains
+		2,                                  // 3 domains
 		0x29, 0x00, 0x00, 0x45, 0x00, 0x00, // chain 0->1 (11ns), 1->2 (18ns)
 		5, 0, 9, // turnarounds
 		1, 10, 200, // dom0: 2 roots
@@ -41,7 +42,7 @@ func FuzzShardSchedule(f *testing.F) {
 		2, 0, 7, 99, // dom2: 3 roots
 	})
 	f.Add([]byte{
-		2,                            // 3 domains
+		2,                                  // 3 domains
 		0x29, 0x0a, 0x00, 0x45, 0x31, 0x00, // cycle 0->1->2->0, muted 0->2
 		0, 4, 0, // turnarounds
 		1, 3, 60, // dom0: 2 roots
@@ -51,9 +52,9 @@ func FuzzShardSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		topo := parseFuzzTopo(data)
 		flat := runFlatScenario(topo)
-		base := runShardScenario(topo, 1)
+		base := runShardScenario(topo)
 		if base.events != flat.events || base.sum() != flat.sum() {
-			t.Fatalf("shard(workers=1) diverged from flat kernel: events %d vs %d, digest %016x vs %016x",
+			t.Fatalf("shard diverged from flat kernel: events %d vs %d, digest %016x vs %016x",
 				base.events, flat.events, base.sum(), flat.sum())
 		}
 		for dom := range base.counts {
@@ -61,17 +62,15 @@ func FuzzShardSchedule(f *testing.F) {
 				t.Fatalf("domain %d executed %d events sharded vs %d flat", dom, base.counts[dom], flat.counts[dom])
 			}
 		}
-		for _, w := range []int{2, 4} {
-			r := runShardScenario(topo, w)
-			if r.events != base.events || r.rounds != base.rounds {
-				t.Fatalf("workers=%d ran %d events in %d rounds; workers=1 ran %d in %d",
-					w, r.events, r.rounds, base.events, base.rounds)
-			}
-			for dom := range base.chains {
-				if r.chains[dom] != base.chains[dom] {
-					t.Fatalf("workers=%d domain %d chain %016x != workers=1 chain %016x (determinism violation)",
-						w, dom, r.chains[dom], base.chains[dom])
-				}
+		r := runShardScenario(topo)
+		if r.events != base.events || r.rounds != base.rounds {
+			t.Fatalf("rerun ran %d events in %d rounds; first run %d in %d",
+				r.events, r.rounds, base.events, base.rounds)
+		}
+		for dom := range base.chains {
+			if r.chains[dom] != base.chains[dom] {
+				t.Fatalf("rerun domain %d chain %016x != first run chain %016x (determinism violation)",
+					dom, r.chains[dom], base.chains[dom])
 			}
 		}
 	})
@@ -169,9 +168,8 @@ type fuzzRig struct {
 	sil  func(dom int, t Time, fn func())
 	send func(dom, out int, t Time, fn func())
 
-	// Per-domain accumulators: in shard mode only the owning domain's
-	// worker touches index dom, so no locking. chains is order-sensitive
-	// within a domain; sums is commutative across everything.
+	// Per-domain accumulators: chains is order-sensitive within a domain;
+	// sums is commutative across everything.
 	counts []uint64
 	chains []uint64
 	sums   []uint64
@@ -245,10 +243,10 @@ func newFuzzRig(topo fuzzTopo) *fuzzRig {
 	}
 }
 
-// runShardScenario executes the scenario on a Shard with the given worker
-// count and returns the filled rig.
-func runShardScenario(topo fuzzTopo, workers int) *fuzzRig {
-	s := NewShard(workers)
+// runShardScenario executes the scenario on a Shard and returns the filled
+// rig.
+func runShardScenario(topo fuzzTopo) *fuzzRig {
+	s := NewShard()
 	doms := make([]*Domain, topo.nd)
 	for i := range doms {
 		doms[i] = s.AddDomain(fmt.Sprintf("d%d", i))

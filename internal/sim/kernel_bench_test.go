@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkKernelSchedule measures the push/pop hot path: schedule a batch
 // of events at staggered timestamps and drain them. The inlined 4-ary heap
@@ -76,7 +73,7 @@ func BenchmarkKernelHorizon(b *testing.B) {
 // closure plus outbox bookkeeping); the intra-domain path stays at 0 (see
 // BenchmarkKernelSchedule and BenchmarkShardedIntraDomain).
 func BenchmarkKernelCrossDomain(b *testing.B) {
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	c := s.AddDomain("b")
 	ab := s.MustConnect(a, c, 10)
@@ -126,7 +123,7 @@ func BenchmarkKernelCrossDomain(b *testing.B) {
 // sharded scheduler: steady-state local scheduling inside a domain, with
 // edges declared and the conservative window loop active.
 func BenchmarkShardedIntraDomain(b *testing.B) {
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	c := s.AddDomain("b")
 	s.MustConnect(a, c, 1000)
@@ -148,28 +145,23 @@ func BenchmarkShardedIntraDomain(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedRing drives the 4-domain determinism rig shape at each
-// worker count so `go test -bench ShardedRing` shows the raw conservative-
-// sync scaling on the host (see bench.KernelSweep for the calibrated chain).
-// Every iteration's per-domain digests are cross-checked against a serial
-// reference run, so the race-detector smoke pass (`make bench-smoke`) doubles
-// as a determinism check on the concurrent round loop.
+// BenchmarkShardedRing drives the 4-domain determinism rig so
+// `go test -bench ShardedRing` shows the raw conservative-sync cost on the
+// host (see bench.PerfReport for the calibrated chain). Every iteration's
+// per-domain digests are cross-checked against a reference run, so the
+// smoke pass (`make bench-smoke`) doubles as a determinism check on the
+// round loop.
 func BenchmarkShardedRing(b *testing.B) {
-	want, _, _ := ringRig(1)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				digests, n, _ := ringRig(w)
-				events += n
-				for d, got := range digests {
-					if got != want[d] {
-						b.Fatalf("workers=%d domain %d digest %016x != serial %016x (determinism violation)",
-							w, d, got, want[d])
-					}
-				}
+	want, _, _ := ringRig()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		digests, n, _ := ringRig()
+		events += n
+		for d, got := range digests {
+			if got != want[d] {
+				b.Fatalf("domain %d digest %016x != reference %016x (determinism violation)", d, got, want[d])
 			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
+		}
 	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -121,7 +121,7 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 // TestSilentSendPanics verifies the AtSilent promise is enforced: a silent
 // event attempting a cross-domain send fails loudly at the call site.
 func TestSilentSendPanics(t *testing.T) {
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	ab := s.MustConnect(a, b, 10)
@@ -138,7 +138,7 @@ func TestSilentSendPanics(t *testing.T) {
 // the destination take wider windows (fewer rounds) with identical results.
 func TestMutedEdge(t *testing.T) {
 	// Enforcement: the muted send fails at the call site.
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	ab := s.MustConnect(a, b, 10)
@@ -156,7 +156,7 @@ func TestMutedEdge(t *testing.T) {
 	// an unused backchannel. Muting the backchannel must cut rounds without
 	// changing the execution.
 	run := func(mute bool) (trace []Time, rounds uint64) {
-		s := NewShard(1)
+		s := NewShard()
 		src := s.AddDomain("src")
 		dst := s.AddDomain("dst")
 		fwd := s.MustConnect(src, dst, 10)
@@ -190,7 +190,7 @@ func TestMutedEdge(t *testing.T) {
 
 // TestSetTurnaround covers the accessor and validation.
 func TestSetTurnaround(t *testing.T) {
-	s := NewShard(1)
+	s := NewShard()
 	d := s.AddDomain("d")
 	if d.Turnaround() != 0 {
 		t.Fatalf("default turnaround %v, want 0", d.Turnaround())
@@ -211,7 +211,7 @@ func TestSetTurnaround(t *testing.T) {
 // passes.
 func TestTurnaroundArrivalSendChecked(t *testing.T) {
 	build := func(respDelay Time) *Shard {
-		s := NewShard(1)
+		s := NewShard()
 		a := s.AddDomain("a")
 		b := s.AddDomain("b")
 		ab := s.MustConnect(a, b, 10)
@@ -238,7 +238,7 @@ func TestTurnaroundArrivalSendChecked(t *testing.T) {
 func TestTurnaroundWidensWindows(t *testing.T) {
 	run := func(turn Time) (trace []Time, rounds uint64) {
 		const service = 500
-		s := NewShard(1)
+		s := NewShard()
 		cl := s.AddDomain("client")
 		sv := s.AddDomain("server")
 		req := s.MustConnect(cl, sv, 10)
@@ -278,7 +278,7 @@ func TestTurnaroundWidensWindows(t *testing.T) {
 // chain and one idle domain: consistent totals, a positive elision count for
 // the idle domain, and coherent window extremes.
 func TestShardSyncStats(t *testing.T) {
-	s := NewShard(1)
+	s := NewShard()
 	a := s.AddDomain("a")
 	b := s.AddDomain("b")
 	idle := s.AddDomain("idle")
@@ -311,13 +311,13 @@ func TestShardSyncStats(t *testing.T) {
 }
 
 // TestShardRingRoundsCeiling is the regression guard for the per-domain
-// safe-time sync (wired into `make kernel`): the 4-domain ring rig must keep
+// safe-time sync: the 4-domain ring rig must keep
 // its rounds-per-event overhead far below the global-lookahead scheduler's.
 // The rig currently runs ~520 events/round; the global-window loop managed
 // ~3. The 200 floor leaves headroom for workload tweaks while catching any
 // return to lockstep synchronization.
 func TestShardRingRoundsCeiling(t *testing.T) {
-	_, events, rounds := ringRig(1)
+	_, events, rounds := ringRig()
 	if rounds == 0 {
 		t.Fatal("ring rig executed no rounds")
 	}

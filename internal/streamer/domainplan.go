@@ -10,7 +10,7 @@ import (
 )
 
 // DomainPlan maps the paper's ethernet → pcie → nvme-per-controller chain
-// onto a conservative-parallel shard partition (sim.Plan). The cuts follow
+// onto a conservative multi-domain shard partition (sim.Plan). The cuts follow
 // the modeled hardware links, and each edge's lookahead is that link's
 // minimum latency:
 //
@@ -22,8 +22,8 @@ import (
 // write books serialization time on the destination link directly). The
 // per-controller domains model the device links as explicit latency edges;
 // rigs that keep controllers on the stock synchronous fabric simply place
-// them in the pcie domain and drop those edges (see bench.KernelSweep for a
-// rig materializing the full plan).
+// them in the pcie domain and drop those edges (see the bench chain rig behind
+// bench.PerfReport for a rig materializing the full plan).
 func DomainPlan(eth ethernet.Config, controllers ...nvme.Config) sim.Plan {
 	p := sim.Plan{Domains: []string{"ethernet", "pcie"}}
 	wire := eth.EdgeLookahead()

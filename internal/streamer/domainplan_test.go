@@ -43,11 +43,6 @@ func TestDomainPlanShape(t *testing.T) {
 	if got := byKey["nvme0->pcie"]; got != c0.EdgeLookahead() {
 		t.Errorf("nvme0->pcie lookahead %v, want link propagation %v", got, c0.EdgeLookahead())
 	}
-	// The plan's window increment is the smallest link latency — the NVMe
-	// link propagation with stock configs.
-	if got := p.MinLookahead(); got != c0.EdgeLookahead() {
-		t.Errorf("MinLookahead = %v, want %v", got, c0.EdgeLookahead())
-	}
 	// Each controller declares its firmware front-end floor as turnaround;
 	// the fabric and MAC domains promise nothing.
 	if got := p.Turnarounds["nvme0"]; got != c0.EdgeTurnaround() {
@@ -60,7 +55,7 @@ func TestDomainPlanShape(t *testing.T) {
 		t.Error("pcie domain must not declare a turnaround")
 	}
 	// And it must materialize onto a shard.
-	s := sim.NewShard(1)
+	s := sim.NewShard()
 	domains, edges, err := p.Build(s)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -77,26 +77,6 @@ func TestServeFacadeTenants(t *testing.T) {
 	}
 }
 
-// TestServeFacadeWorkersIdentity pins the public-API determinism contract:
-// the serving report is identical whether the system runs on the serial
-// kernel or with the client fleet in its own shard domain.
-func TestServeFacadeWorkersIdentity(t *testing.T) {
-	run := func(workers int) ServeReport {
-		sys := MustNewSystem(Options{KernelWorkers: workers, Serve: serveOpts()})
-		rep, err := sys.Serve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	serial := run(0)
-	for _, w := range []int{2, 4} {
-		if got := run(w); got != serial {
-			t.Fatalf("KernelWorkers=%d report diverged:\nserial: %+v\nworkers: %+v", w, serial, got)
-		}
-	}
-}
-
 func TestServeOptionErrors(t *testing.T) {
 	if _, err := NewSystem(Options{
 		Serve:   &ServeOptions{},

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"snacc/internal/cluster"
-	"snacc/internal/ethernet"
 	"snacc/internal/fault"
 	"snacc/internal/fpga"
 	"snacc/internal/nvme"
@@ -84,18 +83,6 @@ type Options struct {
 	DoorbellBatch int
 	// OutOfOrder enables the §7 out-of-order retirement extension.
 	OutOfOrder bool
-	// KernelWorkers selects the event-loop scheduler. 0 or 1 runs the plain
-	// serial kernel — the exact paper timeline, byte for byte. Values above
-	// 1 run the system under the sharded conservative-parallel scheduler
-	// (sim.Shard) with that many workers. A single System is one
-	// synchronously-coupled PCIe fabric and therefore one shard domain, so
-	// extra workers cannot speed it up; the knob exists so rig-level
-	// parallelism (bench.SetParallelism, sharding *across* systems) and
-	// domain-level workers (sharding *within* a rig's event loop) compose,
-	// and rigs with genuinely partitionable topology — the casestudy's
-	// network front end, bench.KernelSweep's ethernet→pcie→nvme chain — get
-	// real concurrency. Results are identical at any worker count.
-	KernelWorkers int
 	// Functional moves real payload bytes through the whole stack
 	// (Ethernet frames, PCIe TLPs, PRP lists, NAND media). Default true —
 	// turn it off for large timing-only experiments.
@@ -134,9 +121,7 @@ type Options struct {
 	// quiescence and returns the fleet-side report. With Options.Tenants
 	// set, requests are stamped with tenant IDs and dispatched through the
 	// virtualized hub, one lane per tenant. Incompatible with
-	// Options.Cluster. Under KernelWorkers > 1 the fleet runs in its own
-	// shard domain joined to the FPGA side by wire-latency edges; reports
-	// are identical at any worker count.
+	// Options.Cluster.
 	Serve *ServeOptions
 }
 
@@ -391,7 +376,6 @@ func (f *FaultOptions) wantsBreaker() bool {
 // programmed).
 type System struct {
 	kernel   *sim.Kernel
-	shard    *sim.Shard // nil when KernelWorkers <= 1 (plain serial kernel)
 	plat     *tapasco.Platform
 	dev      *nvme.Device
 	st       *streamer.Streamer
@@ -424,37 +408,13 @@ func NewSystem(opts Options) (*System, error) {
 	if opts.DoorbellBatch < 0 {
 		return nil, fmt.Errorf("snacc: DoorbellBatch must be non-negative, got %d", opts.DoorbellBatch)
 	}
-	if opts.KernelWorkers < 0 {
-		return nil, fmt.Errorf("snacc: KernelWorkers must be non-negative, got %d", opts.KernelWorkers)
-	}
 	if opts.Cluster != nil {
 		if opts.Serve != nil {
 			return nil, fmt.Errorf("snacc: Options.Serve is incompatible with Options.Cluster")
 		}
 		return newClusterSystem(opts, functional)
 	}
-	var (
-		shard    *sim.Shard
-		fleetK   *sim.Kernel // serve client fleet's domain kernel (sharded runs)
-		toServer *sim.Edge
-		toFleet  *sim.Edge
-	)
 	k := sim.NewKernel()
-	if opts.KernelWorkers > 1 {
-		shard = sim.NewShard(opts.KernelWorkers)
-		sysD := shard.AddDomain("system")
-		k = sysD.Kernel()
-		if opts.Serve != nil {
-			// The client fleet only talks to the FPGA side through the
-			// Ethernet link, so it gets its own domain with wire-latency
-			// lookahead on both edges.
-			fleet := shard.AddDomain("clients")
-			fleetK = fleet.Kernel()
-			look := ethernet.DefaultConfig().EdgeLookahead()
-			toServer = shard.MustConnect(fleet, sysD, look)
-			toFleet = shard.MustConnect(sysD, fleet, look)
-		}
-	}
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", 0) // BAR assigned by enumeration
 	devCfg.Functional = functional
@@ -515,18 +475,14 @@ func NewSystem(opts Options) (*System, error) {
 		}
 		done = true
 	})
-	if shard != nil {
-		shard.Run(0)
-	} else {
-		k.Run(0)
-	}
+	k.Run(0)
 	if initErr != nil {
 		return nil, initErr
 	}
 	if !done {
 		return nil, fmt.Errorf("snacc: initialization stalled")
 	}
-	sys := &System{kernel: k, shard: shard, plat: pl, dev: dev, st: st,
+	sys := &System{kernel: k, plat: pl, dev: dev, st: st,
 		client: streamer.NewClient(st), injector: injector,
 		tracer: tracer, boundary: boundary}
 	if len(opts.Tenants) > 0 {
@@ -542,13 +498,7 @@ func NewSystem(opts Options) (*System, error) {
 		if sys.hub != nil {
 			backend = sys.hub
 		}
-		var tier *serve.Tier
-		var err error
-		if shard != nil {
-			tier, err = serve.NewCross(fleetK, k, toServer, toFleet, cfg, spec, backend)
-		} else {
-			tier, err = serve.New(k, cfg, spec, backend)
-		}
+		tier, err := serve.New(k, cfg, spec, backend)
 		if err != nil {
 			return nil, err
 		}
@@ -684,7 +634,6 @@ func newClusterSystem(opts Options, functional bool) (*System, error) {
 	}
 	ccfg := cluster.DefaultConfig(co.Nodes, co.Replication, co.Quorum)
 	ccfg.ChunkBytes = co.ChunkBytes
-	ccfg.KernelWorkers = opts.KernelWorkers
 	ccfg.Functional = functional
 	ccfg.Seed = opts.Seed
 	ccfg.Variant = opts.Variant
@@ -755,8 +704,7 @@ type Handle struct {
 }
 
 // Execute runs fn as a simulation process and advances simulated time
-// until it (and everything it triggered) completes, under whichever
-// scheduler Options.KernelWorkers selected.
+// until it (and everything it triggered) completes.
 func (s *System) Execute(fn func(h *Handle)) {
 	if s.cluster != nil {
 		s.cluster.Execute(func(p *sim.Proc) {
@@ -767,11 +715,7 @@ func (s *System) Execute(fn func(h *Handle)) {
 	s.kernel.Spawn("app", func(p *sim.Proc) {
 		fn(&Handle{p: p, sys: s})
 	})
-	if s.shard != nil {
-		s.shard.Run(0)
-	} else {
-		s.kernel.Run(0)
-	}
+	s.kernel.Run(0)
 }
 
 // Serve runs the configured open-loop serving workload (Options.Serve) to
@@ -783,31 +727,11 @@ func (s *System) Serve() (ServeReport, error) {
 	if s.serve == nil {
 		return ServeReport{}, fmt.Errorf("snacc: Serve requires Options.Serve")
 	}
-	now := s.kernel.Now()
-	if s.shard != nil {
-		now = s.shard.Now()
-	}
-	if err := s.serve.Start(now); err != nil {
+	if err := s.serve.Start(s.kernel.Now()); err != nil {
 		return ServeReport{}, err
 	}
-	if s.shard != nil {
-		s.shard.Run(0)
-	} else {
-		s.kernel.Run(0)
-	}
+	s.kernel.Run(0)
 	return s.serve.Report(), nil
-}
-
-// KernelWorkers returns the sharded scheduler's worker budget, or 1 when
-// the system runs on the plain serial kernel.
-func (s *System) KernelWorkers() int {
-	if s.cluster != nil {
-		return s.cluster.KernelWorkers()
-	}
-	if s.shard == nil {
-		return 1
-	}
-	return s.shard.Workers()
 }
 
 // Now returns the current simulated time in nanoseconds.

@@ -107,39 +107,6 @@ func TestSystemDeterminism(t *testing.T) {
 	}
 }
 
-func TestSystemKernelWorkersIdentical(t *testing.T) {
-	// The sharded scheduler must reproduce the serial kernel's timeline
-	// byte for byte: same end time, same stats, at every worker count.
-	run := func(workers int) (int64, Stats) {
-		f := false
-		sys := MustNewSystem(Options{Variant: OnboardDRAM, Functional: &f,
-			Seed: 99, KernelWorkers: workers})
-		if got := sys.KernelWorkers(); workers > 1 && got != workers {
-			t.Fatalf("KernelWorkers() = %d, want %d", got, workers)
-		}
-		var done int64
-		sys.Execute(func(h *Handle) {
-			h.WriteTimed(0, 16<<20)
-			h.ReadTimed(0, 16<<20)
-			done = h.Now()
-		})
-		return done, sys.Stats()
-	}
-	d1, s1 := run(1)
-	for _, w := range []int{2, 4} {
-		dw, sw := run(w)
-		if dw != d1 {
-			t.Errorf("KernelWorkers=%d end time %d differs from serial %d", w, dw, d1)
-		}
-		if !reflect.DeepEqual(sw, s1) {
-			t.Errorf("KernelWorkers=%d stats diverged:\n%+v\nvs serial\n%+v", w, sw, s1)
-		}
-	}
-	if _, err := NewSystem(Options{KernelWorkers: -1}); err == nil {
-		t.Error("negative KernelWorkers accepted")
-	}
-}
-
 func TestSystemOutOfOrderOption(t *testing.T) {
 	sys := MustNewSystem(Options{Variant: OnboardDRAM, OutOfOrder: true})
 	want := bytes.Repeat([]byte{0xA5}, 128*1024)

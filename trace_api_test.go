@@ -26,38 +26,32 @@ func TestReplayTraceAPI(t *testing.T) {
 	}
 }
 
-// TestSpanMonotoneAcrossKernelWorkers extends the span-invariant property
-// tests to multi-worker kernel runs: under the sharded scheduler, every
-// traced command must still close exactly once with monotone stage
-// timestamps, and the span set must match the serial run exactly.
-func TestSpanMonotoneAcrossKernelWorkers(t *testing.T) {
+// TestSpanMonotoneDeterministic extends the span-invariant property tests
+// to the facade: every traced command must close exactly once with
+// monotone stage timestamps, and a second run with the same options must
+// record exactly the same span set.
+func TestSpanMonotoneDeterministic(t *testing.T) {
 	f := false
-	run := func(workers int) []Span {
-		sys := MustNewSystem(Options{Variant: URAM, Functional: &f,
-			Trace: &TraceOptions{}, KernelWorkers: workers})
+	run := func() []Span {
+		sys := MustNewSystem(Options{Variant: URAM, Functional: &f, Trace: &TraceOptions{}})
 		sys.Execute(func(h *Handle) {
 			h.WriteTimed(0, 4<<20)
 			h.ReadTimed(0, 4<<20)
 		})
 		st := sys.Stats()
 		if st.SpansOpened == 0 || st.SpansOpened != st.SpansClosed {
-			t.Fatalf("workers=%d: span leak (opened %d, closed %d)",
-				workers, st.SpansOpened, st.SpansClosed)
+			t.Fatalf("span leak (opened %d, closed %d)", st.SpansOpened, st.SpansClosed)
 		}
 		spans := sys.Spans()
 		for _, sp := range spans {
 			if !sp.Monotone() {
-				t.Errorf("workers=%d: span %d has non-monotone stages %v",
-					workers, sp.ID, sp.Stages)
+				t.Errorf("span %d has non-monotone stages %v", sp.ID, sp.Stages)
 			}
 		}
 		return spans
 	}
-	serial := run(1)
-	for _, w := range []int{2, 4} {
-		if got := run(w); !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d: span set differs from serial run", w)
-		}
+	if first, again := run(), run(); !reflect.DeepEqual(again, first) {
+		t.Error("span set differs between two runs with the same options")
 	}
 }
 
