@@ -16,18 +16,22 @@ test: vet
 	$(MAKE) bench-smoke
 
 # Race-checks the experiment engine's rig-level worker pool, the
-# kernel/buffer-pool hot paths, the fault-injection/recovery machinery
-# (including the controller crash-recovery ladder and its
-# multi-queue/ring-wrap variants), the cluster, and the facade's error paths.
+# kernel/buffer-pool hot paths, the pooled PCIe and DRAM callback records,
+# the fault-injection/recovery machinery (including the controller
+# crash-recovery ladder and its multi-queue/ring-wrap variants), the
+# cluster, and the facade's error paths.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/...
+	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/pcie/ ./internal/memmodel/ ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/...
 	$(GO) test -race -run 'Fault|Retry|Timeout|CQE|Crash|Breaker|Death|CFS|Degraded|Span|Wrap|MultiQueue|Tenant' ./internal/streamer/
 	$(GO) test -race -run 'TestParallelDeterminism' ./internal/bench/
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'TestClusterRandomizedDataIntegrity|TestHandleRejectsWithoutPanic|TestTenantFacadeGuards' .
 
+# Fails on any file gofmt would rewrite, listing them.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Per-package statement coverage, with a ratchet on the packages whose test
 # suites this repo leans on hardest: the span tracer, the trace parser, and
@@ -51,10 +55,13 @@ cover:
 latency:
 	$(GO) run ./cmd/snaccbench -latency
 
-# Microbenchmarks: kernel scheduling (events/sec, allocs/op) and end-to-end
-# streamer reads (4 KiB and 1 MiB).
+# Microbenchmarks: kernel scheduling (events/sec, allocs/op), a 1 MiB PCIe
+# non-posted read, a 4 KiB DRAM access, and end-to-end streamer reads (4 KiB
+# and 1 MiB).
 bench:
 	$(GO) test -run XXX -bench BenchmarkKernel -benchmem ./internal/sim/
+	$(GO) test -run XXX -bench BenchmarkPortRead1M -benchmem ./internal/pcie/
+	$(GO) test -run XXX -bench BenchmarkDRAMAccess -benchmem ./internal/memmodel/
 	$(GO) test -run XXX -bench BenchmarkStreamerRead -benchmem ./internal/bench/
 
 # One-iteration pass over the kernel micro-benchmarks under the race

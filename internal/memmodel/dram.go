@@ -27,6 +27,8 @@ type DRAM struct {
 	turnarounds int64
 	rowMisses   int64
 	accesses    int64
+
+	free sim.FreeList[dramAccess]
 }
 
 type dramDir uint8
@@ -126,21 +128,38 @@ const arbGranule = 4 * sim.KiB
 
 // access books n bytes granule by granule and calls done at completion.
 func (d *DRAM) access(dir dramDir, addr uint64, n int64, done func()) {
-	var step func(off int64)
-	step = func(off int64) {
-		m := int64(arbGranule)
-		if m > n-off {
-			m = n - off
-		}
-		t := d.schedule(dir, addr+uint64(off), m)
-		if off+m >= n {
-			d.k.At(t, done)
-			return
-		}
-		// Re-arbitrate for the next granule when this one leaves the bus.
-		d.k.At(t-d.cfg.AccessLatency, func() { step(off + m) })
+	a, fresh := d.free.Get()
+	if fresh {
+		a.step = a.onStep
 	}
-	step(0)
+	a.d, a.dir, a.addr, a.n, a.off, a.done = d, dir, addr, n, 0, done
+	a.onStep()
+}
+
+// dramAccess is one access in flight, re-arbitrating granule by granule.
+type dramAccess struct {
+	d      *DRAM
+	dir    dramDir
+	addr   uint64
+	n, off int64
+	done   func()
+	step   func() // onStep, bound once
+}
+
+func (a *dramAccess) onStep() {
+	d := a.d
+	m := min(int64(arbGranule), a.n-a.off)
+	t := d.schedule(a.dir, a.addr+uint64(a.off), m)
+	if a.off+m >= a.n {
+		done := a.done
+		*a = dramAccess{step: a.step}
+		d.free.Put(a)
+		d.k.At(t, done)
+		return
+	}
+	// Re-arbitrate for the next granule when this one leaves the bus.
+	a.off += m
+	d.k.At(t-d.cfg.AccessLatency, a.step)
 }
 
 // ReadAccess implements Memory.

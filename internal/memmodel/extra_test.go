@@ -134,3 +134,48 @@ func TestURAMStore(t *testing.T) {
 		t.Fatal("nil URAM store")
 	}
 }
+
+// TestAccessAllocBudget pins the warm per-access allocation cost of the
+// DRAM controller's pooled granule chain and of a coalescer hit at zero.
+func TestAccessAllocBudget(t *testing.T) {
+	k := sim.NewKernel()
+	d := NewDRAM(k, DefaultDRAMConfig())
+	fn := func() {}
+	for _, n := range []int64{4 * sim.KiB, sim.MiB} {
+		op := func() {
+			d.ReadAccess(0, n, nil, fn)
+			k.Run(0)
+		}
+		op()
+		if got := testing.AllocsPerRun(50, op); got != 0 {
+			t.Errorf("DRAM.ReadAccess(%d): %.1f allocs per call, want 0", n, got)
+		}
+	}
+
+	c := NewBurstCoalescer(k, d, 4096, 20*sim.Nanosecond)
+	c.ReadAccess(0, 512, nil, fn) // open the burst
+	k.Run(0)
+	hits := c.Hits()
+	hit := func() {
+		c.ReadAccess(512, 512, nil, fn)
+		k.Run(0)
+	}
+	if got := testing.AllocsPerRun(50, hit); got != 0 {
+		t.Errorf("BurstCoalescer hit: %.1f allocs per call, want 0", got)
+	}
+	if c.Hits() == hits || c.Fills() != 1 {
+		t.Errorf("hits %d->%d, fills %d: the measured reads were not coalescer hits", hits, c.Hits(), c.Fills())
+	}
+}
+
+func BenchmarkDRAMAccess(b *testing.B) {
+	k := sim.NewKernel()
+	d := NewDRAM(k, DefaultDRAMConfig())
+	fn := func() {}
+	b.ReportAllocs()
+	b.SetBytes(4 * sim.KiB)
+	for i := 0; i < b.N; i++ {
+		d.ReadAccess(uint64(i%16384)*4096, 4*sim.KiB, nil, fn)
+		k.Run(0)
+	}
+}

@@ -39,6 +39,13 @@ type Port struct {
 	// direction, excluding header overhead.
 	payloadTx int64
 	payloadRx int64
+
+	// Free lists of the callback records this port's transactions run on
+	// (see DESIGN.md §5, "Callback records").
+	reads  sim.FreeList[readReq]
+	chunks sim.FreeList[readChunk]
+	bursts sim.FreeList[postedBurst]
+	tlps   sim.FreeList[postedTLP]
 }
 
 // Name returns the port name.
@@ -81,37 +88,48 @@ const writeGranule = 32 * sim.KiB
 // writes consume no credits: the initiator's link is the only throttle,
 // which is what lets the SSD stream read data into any buffer at full rate.
 func (pt *Port) Write(addr uint64, n int64, data []byte, fn func()) {
-	if n > writeGranule {
-		// Chain granule-sized sub-writes: the next granule books its TX
-		// slot when the previous granule finishes *serializing*, so the
-		// burst still streams at link rate while competing small TLPs can
-		// slot in between granules.
-		k := pt.f.k
-		var step func(off int64)
-		step = func(off int64) {
-			m := int64(writeGranule)
-			last := false
-			if m >= n-off {
-				m = n - off
-				last = true
-			}
-			var d []byte
-			if data != nil {
-				d = data[off : off+m]
-			}
-			cb := fn
-			if !last {
-				cb = nil
-			}
-			txDone := pt.writeOne(addr+uint64(off), m, d, cb)
-			if !last {
-				k.At(txDone, func() { step(off + m) })
-			}
-		}
-		step(0)
+	if n <= writeGranule {
+		pt.writeOne(addr, n, data, fn)
 		return
 	}
-	pt.writeOne(addr, n, data, fn)
+	w, fresh := pt.bursts.Get()
+	if fresh {
+		w.step = w.onStep
+	}
+	w.pt, w.addr, w.n, w.off, w.data, w.fn = pt, addr, n, 0, data, fn
+	w.onStep()
+}
+
+// postedBurst chains the granule-sized sub-writes of one large posted
+// write: the next granule books its TX slot when the previous granule
+// finishes *serializing*, so the burst still streams at link rate while
+// competing small TLPs can slot in between granules.
+type postedBurst struct {
+	pt     *Port
+	addr   uint64
+	n, off int64
+	data   []byte
+	fn     func()
+	step   func() // onStep, bound once
+}
+
+func (w *postedBurst) onStep() {
+	pt, off := w.pt, w.off
+	m := min(int64(writeGranule), w.n-off)
+	var d []byte
+	if w.data != nil {
+		d = w.data[off : off+m]
+	}
+	addr := w.addr + uint64(off)
+	if off+m < w.n {
+		w.off += m
+		pt.f.k.At(pt.writeOne(addr, m, d, nil), w.step)
+		return
+	}
+	fn := w.fn
+	*w = postedBurst{step: w.step}
+	pt.bursts.Put(w)
+	pt.writeOne(addr, m, d, fn)
 }
 
 // writeOne books a single posted burst and returns when its TX
@@ -141,17 +159,39 @@ func (pt *Port) writeOne(addr uint64, n int64, data []byte, fn func()) (txDone s
 	if rxDone > delivered {
 		delivered = rxDone
 	}
-	k.At(delivered, func() {
-		dst.payloadRx += n
-		dst.tracer.record(TraceWriteIn, addr, n)
-		if dst.completer != nil {
-			dst.completer.CompleteWrite(addr, n, data)
-		}
-		if fn != nil {
-			fn()
-		}
-	})
+	t, fresh := pt.tlps.Get()
+	if fresh {
+		t.deliver = t.onDeliver
+	}
+	t.src, t.dst, t.addr, t.n, t.data, t.fn = pt, dst, addr, n, data, fn
+	k.At(delivered, t.deliver)
 	return txEnd
+}
+
+// postedTLP carries one posted burst from TX booking to delivery.
+type postedTLP struct {
+	src, dst *Port
+	addr     uint64
+	n        int64
+	data     []byte
+	fn       func()
+	deliver  func() // onDeliver, bound once
+}
+
+// onDeliver returns the record to its port's free list before the target's
+// completer and the caller's fn run, so either may post the next write.
+func (t *postedTLP) onDeliver() {
+	src, dst, addr, n, data, fn := t.src, t.dst, t.addr, t.n, t.data, t.fn
+	*t = postedTLP{deliver: t.deliver}
+	src.tlps.Put(t)
+	dst.payloadRx += n
+	dst.tracer.record(TraceWriteIn, addr, n)
+	if dst.completer != nil {
+		dst.completer.CompleteWrite(addr, n, data)
+	}
+	if fn != nil {
+		fn()
+	}
 }
 
 // Read issues a non-posted read of n payload bytes from addr, split into
@@ -178,82 +218,131 @@ func (pt *Port) read(addr uint64, n int64, buf []byte, fn func(), gate *creditGa
 		return
 	}
 	dst := pt.f.routeOrPanic(pt, addr, n)
-	remaining := n
-	pending := 0
-	finished := false
-	done := func() {
-		pending--
-		if finished && pending == 0 && fn != nil {
+	r, _ := pt.reads.Get()
+	*r = readReq{pt: pt, dst: dst, gate: gate, addr: addr, n: n, buf: buf, fn: fn}
+	r.issue()
+}
+
+// readReq tracks one Read/ReadCtrl across its chunks.
+type readReq struct {
+	pt, dst *Port
+	gate    *creditGate
+	addr    uint64
+	// off is how many bytes have been split into chunks so far.
+	n, off   int64
+	buf      []byte
+	fn       func()
+	pending  int
+	finished bool
+}
+
+// issue splits off the next chunks and sends each as soon as it holds a
+// credit, pipelining the next request once this one is on the wire. A chunk
+// that finds no credit waits in the gate, and whoever hands it a credit
+// sends it and calls issue again.
+func (r *readReq) issue() {
+	pt := r.pt
+	for r.off < r.n {
+		c, fresh := pt.chunks.Get()
+		if fresh {
+			c.bind()
+		}
+		m := min(pt.cfg.MaxReadRequest, r.n-r.off)
+		c.req, c.addr, c.n = r, r.addr+uint64(r.off), m
+		if r.buf != nil {
+			c.buf = r.buf[r.off : r.off+m]
+		}
+		r.off += m
+		r.pending++
+		if !r.gate.acquire(c) {
+			return
+		}
+		pt.sendChunk(c)
+	}
+	// The last chunk was just sent, so its delivery (which sees finished
+	// and completes the request) is still ahead.
+	r.finished = true
+}
+
+// readChunk is one credit's worth of read: request TLP out, target access,
+// completion data back. Its handlers are bound once, when the record is
+// first created, and survive recycling.
+type readChunk struct {
+	req  *readReq
+	addr uint64
+	n    int64
+	buf  []byte
+	// pad is the initiator's read padding when the chunk was sent.
+	pad  sim.Time
+	wire int64
+
+	arrive, access, complete, ret, deliver func()
+}
+
+func (c *readChunk) bind() {
+	c.arrive, c.access, c.complete = c.onArrive, c.onAccess, c.onComplete
+	c.ret, c.deliver = c.onRet, c.onDeliver
+}
+
+// sendChunk puts c's request TLP on the wire.
+func (pt *Port) sendChunk(c *readChunk) {
+	c.pad = pt.readPadding
+	reqAt := pt.tx.Reserve(pt.f.cfg.TLPHeaderBytes)
+	pt.f.k.At(reqAt+pt.f.hopLatency(pt, c.req.dst), c.arrive)
+}
+
+func (c *readChunk) onArrive() {
+	f := c.req.pt.f
+	f.k.At(c.req.dst.rx.Reserve(f.cfg.TLPHeaderBytes), c.access)
+}
+
+func (c *readChunk) onAccess() {
+	dst := c.req.dst
+	dst.tracer.record(TraceReadReq, c.addr, c.n)
+	if dst.completer != nil {
+		dst.completer.CompleteRead(c.addr, c.n, c.buf, c.complete)
+	} else {
+		c.onComplete()
+	}
+}
+
+func (c *readChunk) onComplete() {
+	// Completion data returns over the target's TX link.
+	pt, dst := c.req.pt, c.req.dst
+	c.wire = pt.f.wireBytes(c.n, dst.cfg.MaxPayload)
+	dst.payloadTx += c.n
+	dst.tracer.record(TraceReadCpl, c.addr, c.n)
+	cplAt := dst.tx.Reserve(c.wire)
+	pt.f.k.At(cplAt+pt.f.hopLatency(dst, pt)+c.pad, c.ret)
+}
+
+func (c *readChunk) onRet() {
+	pt := c.req.pt
+	pt.f.k.At(pt.rx.Reserve(c.wire), c.deliver)
+}
+
+// onDeliver retires the chunk. The chunk record (and, with the last chunk,
+// the request record) goes back to the port's free list before anything
+// re-entrant runs, so the credit hand-off and the caller's fn may reuse it.
+func (c *readChunk) onDeliver() {
+	r, n := c.req, c.n
+	pt := r.pt
+	pt.payloadRx += n
+	c.req, c.buf = nil, nil
+	pt.chunks.Put(c)
+	if next := r.gate.release(); next != nil {
+		pt.sendChunk(next)
+		next.req.issue()
+	}
+	r.pending--
+	if r.finished && r.pending == 0 {
+		fn := r.fn
+		*r = readReq{}
+		pt.reads.Put(r)
+		if fn != nil {
 			fn()
 		}
 	}
-	var issue func()
-	issue = func() {
-		if remaining <= 0 {
-			finished = true
-			if pending == 0 && fn != nil {
-				fn()
-			}
-			return
-		}
-		chunk := pt.cfg.MaxReadRequest
-		if chunk > remaining {
-			chunk = remaining
-		}
-		off := n - remaining
-		chunkAddr := addr + uint64(off)
-		var chunkBuf []byte
-		if buf != nil {
-			chunkBuf = buf[off : off+chunk]
-		}
-		remaining -= chunk
-		pending++
-		gate.acquire(func() {
-			pt.issueReadChunk(dst, chunkAddr, chunk, chunkBuf, func() {
-				gate.release()
-				done()
-			})
-			// Pipeline the next request as soon as this one is on the wire.
-			issue()
-		})
-	}
-	issue()
-}
-
-// issueReadChunk performs one credit's worth of read: request TLP out,
-// target access, completion data back.
-func (pt *Port) issueReadChunk(dst *Port, addr uint64, n int64, buf []byte, fn func()) {
-	k := pt.f.k
-	hdr := pt.f.cfg.TLPHeaderBytes
-	hopOut := pt.f.hopLatency(pt, dst)
-	pad := pt.readPadding
-	reqAt := pt.tx.Reserve(hdr)
-	k.At(reqAt+hopOut, func() {
-		arriveAt := dst.rx.Reserve(hdr)
-		k.At(arriveAt, func() {
-			dst.tracer.record(TraceReadReq, addr, n)
-			complete := func() {
-				// Completion data returns over the target's TX link.
-				wire := pt.f.wireBytes(n, dst.cfg.MaxPayload)
-				dst.payloadTx += n
-				dst.tracer.record(TraceReadCpl, addr, n)
-				cplAt := dst.tx.Reserve(wire)
-				hopBack := pt.f.hopLatency(dst, pt)
-				k.At(cplAt+hopBack+pad, func() {
-					rxAt := pt.rx.Reserve(wire)
-					k.At(rxAt, func() {
-						pt.payloadRx += n
-						fn()
-					})
-				})
-			}
-			if dst.completer != nil {
-				dst.completer.CompleteRead(addr, n, buf, complete)
-			} else {
-				complete()
-			}
-		})
-	})
 }
 
 // WriteB is a blocking wrapper around Write for process-model callers.
@@ -270,29 +359,32 @@ func (pt *Port) ReadB(p *sim.Proc, addr uint64, n int64, buf []byte) {
 	doneC.Get(p)
 }
 
-// creditGate is a callback-style counting semaphore for outstanding reads.
+// creditGate is a counting semaphore for outstanding reads. Chunks that
+// find no credit wait in a FIFO ring.
 type creditGate struct {
 	avail int
-	q     []func()
+	q     sim.Queue[*readChunk]
 }
 
 func newCreditGate(n int) *creditGate { return &creditGate{avail: n} }
 
-func (c *creditGate) acquire(fn func()) {
-	if c.avail > 0 {
-		c.avail--
-		fn()
-		return
+// acquire takes a credit for c and reports true, or queues c and reports
+// false.
+func (g *creditGate) acquire(c *readChunk) bool {
+	if g.avail > 0 {
+		g.avail--
+		return true
 	}
-	c.q = append(c.q, fn)
+	g.q.Push(c)
+	return false
 }
 
-func (c *creditGate) release() {
-	if len(c.q) > 0 {
-		fn := c.q[0]
-		c.q = c.q[1:]
-		fn()
-		return
+// release hands the freed credit to the oldest waiting chunk, which it
+// returns for the caller to send, or returns the credit to the pool.
+func (g *creditGate) release() *readChunk {
+	if g.q.Len() > 0 {
+		return g.q.Pop()
 	}
-	c.avail++
+	g.avail++
+	return nil
 }

@@ -21,6 +21,10 @@ type Proc struct {
 	// daemon marks a service loop that legitimately idles forever; parked
 	// daemons do not count toward deadlock detection.
 	daemon bool
+
+	// run is p.dispatch bound once at Spawn, so scheduling the process
+	// (Spawn, Sleep, Wake) allocates no closure.
+	run func()
 }
 
 // SetDaemon marks the process as a daemon service loop. Call it from inside
@@ -46,6 +50,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		resume:   make(chan struct{}),
 		toKernel: make(chan struct{}),
 	}
+	p.run = p.dispatch
 	k.nprocs++
 	go func() {
 		<-p.resume
@@ -54,13 +59,13 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.k.nprocs--
 		p.toKernel <- struct{}{}
 	}()
-	k.At(k.now, func() { k.dispatch(p) })
+	k.At(k.now, p.run)
 	return p
 }
 
 // dispatch transfers control to p and blocks (in real time) until p yields
 // or finishes. Must only be called from kernel context.
-func (k *Kernel) dispatch(p *Proc) {
+func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
@@ -90,7 +95,7 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	k := p.k
-	k.At(k.now+d, func() { k.dispatch(p) })
+	k.At(k.now+d, p.run)
 	p.yield()
 }
 
@@ -118,8 +123,7 @@ func (p *Proc) Wake() {
 	if p.daemon {
 		p.k.parkedDaemons--
 	}
-	k := p.k
-	k.At(k.now, func() { k.dispatch(p) })
+	p.k.At(p.k.now, p.run)
 }
 
 // ParkTimeout parks for at most d and reports whether the wait timed out

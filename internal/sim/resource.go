@@ -8,7 +8,7 @@ type Resource struct {
 	k        *Kernel
 	capacity int64
 	inUse    int64
-	q        []resWaiter
+	q        Queue[resWaiter]
 }
 
 type resWaiter struct {
@@ -42,11 +42,11 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if n > r.capacity {
 		panic("sim: Resource.Acquire request exceeds capacity")
 	}
-	if len(r.q) == 0 && r.inUse+n <= r.capacity {
+	if r.q.Len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	r.q = append(r.q, resWaiter{p: p, n: n})
+	r.q.Push(resWaiter{p: p, n: n})
 	p.Park()
 }
 
@@ -56,7 +56,7 @@ func (r *Resource) TryAcquire(n int64) bool {
 	if n <= 0 {
 		return true
 	}
-	if len(r.q) == 0 && r.inUse+n <= r.capacity {
+	if r.q.Len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return true
 	}
@@ -72,13 +72,13 @@ func (r *Resource) Release(n int64) {
 	if r.inUse < 0 {
 		panic("sim: Resource.Release below zero")
 	}
-	for len(r.q) > 0 {
-		head := r.q[0]
+	for r.q.Len() > 0 {
+		head := r.q.Peek()
 		if r.inUse+head.n > r.capacity {
 			break
 		}
 		r.inUse += head.n
-		r.q = r.q[1:]
+		r.q.Pop()
 		head.p.Wake()
 	}
 }
