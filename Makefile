@@ -65,13 +65,10 @@ bench:
 	$(GO) test -run XXX -bench BenchmarkStreamerRead -benchmem ./internal/bench/
 
 # One-iteration pass over the kernel micro-benchmarks under the race
-# detector: catches bit-rot on the kernel and shard hot paths without the
-# cost of a real measurement run. BenchmarkShardedRing runs the 4-domain
-# rig and cross-checks its per-domain digests against a reference run, so
-# this pass is also a determinism check on the shard's round loop. Wired
-# into `make test`.
+# detector: catches bit-rot on the kernel hot paths without the cost of a
+# real measurement run. Wired into `make test`.
 bench-smoke: vet
-	$(GO) test -race -run XXX -bench 'BenchmarkKernel|BenchmarkSharded' -benchtime 1x -benchmem ./internal/sim/
+	$(GO) test -race -run XXX -bench 'BenchmarkKernel' -benchtime 1x -benchmem ./internal/sim/
 
 # Fault-injection suite: recovery unit tests, accounting invariants, and the
 # goodput-vs-error-rate sweep.

@@ -102,3 +102,42 @@ func runClusterIntegrity(t *testing.T, replication int) {
 			replication, st.UnderReplicatedChunks)
 	}
 }
+
+// TestClusterAppliesStreamerOptions: the submission-path options NewSystem
+// validates reach every node's Streamer in cluster mode, and a round trip
+// through the multi-queue, batched, out-of-order nodes stays byte-exact.
+func TestClusterAppliesStreamerOptions(t *testing.T) {
+	sys := MustNewSystem(Options{
+		Seed:          4,
+		IOQueues:      4,
+		DoorbellBatch: 8,
+		OutOfOrder:    true,
+		Cluster:       &ClusterOptions{Nodes: 3, Replication: 2, Quorum: 1},
+	})
+	for i := 0; i < sys.cluster.Nodes(); i++ {
+		cfg := sys.cluster.Node(i).Config()
+		if cfg.IOQueues != 4 || cfg.DoorbellBatch != 8 || !cfg.OutOfOrder {
+			t.Errorf("node %d: IOQueues=%d DoorbellBatch=%d OutOfOrder=%v, want 4/8/true",
+				i, cfg.IOQueues, cfg.DoorbellBatch, cfg.OutOfOrder)
+		}
+	}
+	const n = 384 << 10 // spans two default chunks
+	data := make([]byte, n)
+	rng := sim.NewRand(17)
+	for i := range data {
+		data[i] = byte(rng.Int63n(256))
+	}
+	var got []byte
+	var werr, rerr error
+	sys.Execute(func(h *Handle) {
+		if werr = h.Write(4096, data); werr == nil {
+			got, rerr = h.Read(4096, n)
+		}
+	})
+	if werr != nil || rerr != nil {
+		t.Fatalf("write err %v, read err %v", werr, rerr)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("round trip diverged (first diff at %d)", firstDiff(got, data))
+	}
+}

@@ -85,25 +85,7 @@ func CrashTimeline(everyN int64, totalBytes int64, window sim.Time) []TimelinePo
 			Opcode: fault.OpAny, Nth: everyN})
 	}
 	in.Attach(rig.dev)
-	var points []TimelinePoint
-	done := false
-	rig.k.Spawn("sampler", func(p *sim.Proc) {
-		var last int64
-		for !done {
-			p.Sleep(window)
-			cur := rig.dev.Port().PayloadRx()
-			points = append(points, TimelinePoint{
-				At:   p.Now(),
-				GBps: float64(cur-last) / window.Seconds() / 1e9,
-			})
-			last = cur
-		}
-	})
-	rig.measure(func(p *sim.Proc) {
-		streamer.SeqWrite(p, rig.c, 0, totalBytes)
-		done = true
-	})
-	return points
+	return sampleSeqWrite(rig, totalBytes, window)
 }
 
 // StripedDegradedRow summarizes a striped set losing one member mid-stream.

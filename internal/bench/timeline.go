@@ -23,6 +23,13 @@ type TimelinePoint struct {
 // bandwidth" bars.
 func Timeline(v streamer.Variant, totalBytes int64, window sim.Time) []TimelinePoint {
 	rig := buildSNAcc(v, nil, func(c *nvme.Config) { c.NAND.EpochBytes = totalBytes / 4 })
+	return sampleSeqWrite(rig, totalBytes, window)
+}
+
+// sampleSeqWrite runs a sequential write of totalBytes on rig, sampling
+// the SSD's received payload bandwidth once per window until the write
+// completes.
+func sampleSeqWrite(rig *snaccRig, totalBytes int64, window sim.Time) []TimelinePoint {
 	var points []TimelinePoint
 	done := false
 	rig.k.Spawn("sampler", func(p *sim.Proc) {

@@ -1,9 +1,9 @@
 // Package cluster scales the single-node SNAcc system out over the
 // simulated network: M streamer nodes — each a full TaPaSCo platform with
-// its own NVMe SSD and Streamer, living in its own sim.Shard domain — sit
-// behind the internal/ethernet switch, and a coordinator in the "front"
-// domain speaks an NVMe-oF-style capsule protocol to them
-// (protocol.go). A consistent-hash ring (ring.go) shards the logical byte
+// its own NVMe SSD and Streamer — sit behind the internal/ethernet switch,
+// and a coordinator speaks an NVMe-oF-style capsule protocol to them
+// (protocol.go). The switch, the coordinator and every node share one
+// sim.Kernel. A consistent-hash ring (ring.go) shards the logical byte
 // space in chunks with replication factor R: writes fan out to R replicas
 // and acknowledge at a configurable quorum, reads prefer the primary
 // replica and fail over on error or timeout.
@@ -78,8 +78,8 @@ type Config struct {
 	// VNodes is the ring's virtual-node count per node (DefaultVNodes
 	// when 0).
 	VNodes int
-	// Deprecated: ignored; the cluster's shard runs its domains serially.
-	// Kept because the simulator-cost benchmark sets it.
+	// Deprecated: ignored; the cluster runs on one kernel. Kept because
+	// the simulator-cost benchmark sets it.
 	KernelWorkers int
 	// Functional moves real payload bytes end to end.
 	Functional bool
@@ -114,7 +114,7 @@ type Config struct {
 
 	// NodeInjector, when set, supplies a per-node NVMe fault injector
 	// (nil for healthy nodes) — built per node, never shared, so each
-	// node domain owns its PRNG stream.
+	// node owns its PRNG stream.
 	NodeInjector func(node int) *fault.Injector
 	// StreamerTune, when set, adjusts a node's Streamer config after the
 	// cluster recovery defaults are applied.
@@ -170,41 +170,18 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// Plan maps an M-node cluster onto a conservative multi-domain shard
-// partition: the switch and coordinator share the "front" domain, each
-// node is its own domain, and every front<->node edge declares the
-// Ethernet wire propagation delay as lookahead (every delivery a MAC or
-// switch port schedules is at least that far in the future).
-func Plan(nodes int, eth ethernet.Config) sim.Plan {
-	p := sim.Plan{Domains: []string{"front"}}
-	wire := eth.EdgeLookahead()
-	for i := 0; i < nodes; i++ {
-		name := nodeDomain(i)
-		p.Domains = append(p.Domains, name)
-		p.Edges = append(p.Edges,
-			sim.EdgeSpec{Src: "front", Dst: name, Lookahead: wire},
-			sim.EdgeSpec{Src: name, Dst: "front", Lookahead: wire},
-		)
-	}
-	return p
-}
-
-func nodeDomain(i int) string { return fmt.Sprintf("node%d", i) }
-
 // Cluster is an assembled multi-node system.
 type Cluster struct {
 	cfg   Config
-	eth   ethernet.Config
-	shard *sim.Shard
-	front *sim.Kernel
+	k     *sim.Kernel
 	sw    *ethernet.Switch
 	nodes []*node
 	co    *coordinator
 }
 
-// New builds and initializes a cluster: shard topology per Plan, one full
-// platform stack per node, the switch fabric, and the coordinator's
-// daemons (response router, repair worker, node serve loops).
+// New builds and initializes a cluster on one kernel: one full platform
+// stack per node, the switch fabric, and the coordinator's daemons
+// (response router, repair worker, node serve loops).
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -220,31 +197,20 @@ func New(cfg Config) (*Cluster, error) {
 		ecfg.RxFIFOBytes = minFIFO
 	}
 
-	cl := &Cluster{cfg: cfg, eth: ecfg}
-	cl.shard = sim.NewShard()
-	plan := Plan(cfg.Nodes, ecfg)
-	domains, edges, err := plan.Build(cl.shard)
-	if err != nil {
-		return nil, err
-	}
-	cl.front = domains["front"].Kernel()
-	cl.sw = ethernet.NewSwitch(cl.front, "cluster-sw", ecfg, cfg.Nodes+1, 8*(cfg.ChunkBytes+capsuleBytes))
-	comac := ethernet.NewMAC(cl.front, "coord", ecfg)
+	cl := &Cluster{cfg: cfg, k: sim.NewKernel()}
+	cl.sw = ethernet.NewSwitch(cl.k, "cluster-sw", ecfg, cfg.Nodes+1, 8*(cfg.ChunkBytes+capsuleBytes))
+	comac := ethernet.NewMAC(cl.k, "coord", ecfg)
 	cl.sw.Attach(0, comac)
 
 	for i := 0; i < cfg.Nodes; i++ {
-		n := newNode(cfg, ecfg, i, domains[nodeDomain(i)].Kernel())
+		n := newNode(cfg, ecfg, i, cl.k)
 		cl.nodes = append(cl.nodes, n)
-		toNode := edges[fmt.Sprintf("front->%s", nodeDomain(i))]
-		fromNode := edges[fmt.Sprintf("%s->front", nodeDomain(i))]
-		if err := cl.sw.AttachCross(i+1, n.mac, toNode, fromNode); err != nil {
-			return nil, err
-		}
+		cl.sw.Attach(i+1, n.mac)
 	}
 
 	// Drain node initialization (admin bring-up, queue creation) before
 	// any traffic.
-	cl.shard.Run(0)
+	cl.k.Run(0)
 	for _, n := range cl.nodes {
 		if n.initErr != nil {
 			return nil, fmt.Errorf("cluster: node %d init: %w", n.id, n.initErr)
@@ -271,18 +237,11 @@ func MustNew(cfg Config) *Cluster {
 	return cl
 }
 
-// Execute runs fn as a coordinator-domain process and advances the whole
-// shard until everything it triggered drains.
-//
-// Run leaves each domain kernel at its own last-event time, so after a
-// drain the front domain can lag the node domains. The app is therefore
-// started at the shard-wide maximum: a send from an earlier clock would
-// otherwise ride an edge into a faster domain's past and violate the
-// conservative delivery invariant.
+// Execute runs fn as a process and advances the kernel until everything
+// it triggered drains.
 func (cl *Cluster) Execute(fn func(p *sim.Proc)) {
-	at := cl.shard.Now()
-	cl.front.At(at, func() { cl.front.Spawn("app", fn) })
-	cl.shard.Run(0)
+	cl.k.Spawn("app", fn)
+	cl.k.Run(0)
 }
 
 // Write replicates data (len multiple of 512, addr 512-aligned) at the
@@ -330,8 +289,8 @@ func (cl *Cluster) Spans() []obs.Span {
 // from inside one.
 func (cl *Cluster) Stats() Stats {
 	s := cl.co.stats()
-	s.SimTime = int64(cl.shard.Now())
-	s.SimEvents = cl.shard.EventsExecuted()
+	s.SimTime = int64(cl.k.Now())
+	s.SimEvents = cl.k.EventsExecuted()
 	for _, n := range cl.nodes {
 		s.LinkFramesDropped += n.rx.Dropped()
 		s.LinkFramesDelayed += n.rx.Delayed()
@@ -379,7 +338,7 @@ type Stats struct {
 	BytesRead    int64
 	// DeadNodes lists nodes whose controllers are terminally dead.
 	DeadNodes []int
-	// SimTime/SimEvents mirror the shard clock and event counter.
+	// SimTime/SimEvents mirror the kernel clock and event counter.
 	SimTime   int64
 	SimEvents uint64
 }

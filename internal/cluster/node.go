@@ -13,10 +13,10 @@ import (
 )
 
 // node is one cluster member: a full TaPaSCo platform (its own PCIe
-// fabric), one NVMe SSD, one Streamer, and a MAC — all owned by the node's
-// shard domain. The serve loop applies capsules strictly in arrival order,
-// which together with the switch's per-egress FIFO gives each node
-// read-your-writes ordering without any protocol-level sequencing.
+// fabric), one NVMe SSD, one Streamer, and a MAC. The serve loop applies
+// capsules strictly in arrival order, which together with the switch's
+// per-egress FIFO gives each node read-your-writes ordering without any
+// protocol-level sequencing.
 type node struct {
 	id  int
 	k   *sim.Kernel
@@ -25,7 +25,7 @@ type node struct {
 	st  *streamer.Streamer
 	c   *streamer.Client
 	// rx drops/delays frames this node receives (the to-node side of a
-	// Partition); owned by the node domain.
+	// Partition).
 	rx     *fault.LinkInjector
 	tracer *obs.Tracer
 
@@ -46,7 +46,7 @@ func clusterRecoveryDefaults(cfg *streamer.Config) {
 	cfg.CFSPollInterval = sim.Millisecond
 }
 
-// newNode assembles node id on its domain kernel and spawns its init
+// newNode assembles node id on the cluster kernel and spawns its init
 // process (drained by New before traffic starts).
 func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	n := &node{id: id, k: k}
@@ -118,7 +118,7 @@ func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	return n
 }
 
-// spawnServe starts the capsule serve loop (a daemon of the node domain).
+// spawnServe starts the node's capsule serve loop (a daemon).
 func (n *node) spawnServe() {
 	n.k.Spawn(fmt.Sprintf("node%d.serve", n.id), n.serve)
 }

@@ -70,13 +70,6 @@ func DefaultConfig() Config {
 // BytesPerSec returns the payload-agnostic line rate in bytes.
 func (c Config) BytesPerSec() float64 { return c.BitsPerSec / 8 }
 
-// EdgeLookahead returns the conservative-sync lookahead a link with this
-// config sustains: the wire propagation delay. Every delivery a MAC (or
-// switch port) schedules toward its peer — data after store-and-forward,
-// 802.3x pause/resume control frames — is at least WireLatency in the
-// future, so a cross-domain edge declared with this lookahead is safe.
-func (c Config) EdgeLookahead() sim.Time { return c.WireLatency }
-
 // WireBytes returns the on-wire cost of n payload bytes, charging per-frame
 // overhead once per MTU.
 func (c Config) WireBytes(n int64) int64 {
@@ -95,10 +88,6 @@ type MAC struct {
 
 	// peer receives what we transmit.
 	peer receiver
-	// crossOut, when set, is the shard edge toward the peer's domain; all
-	// peer deliveries ride it instead of the local kernel
-	// (Switch.AttachCross).
-	crossOut *sim.Edge
 
 	// txq holds frames awaiting transmission; the transmitter process
 	// fully buffers each frame before serialization (§4.7 store-and-
@@ -151,17 +140,6 @@ func (m *MAC) wireBytes(n int64) int64 { return m.cfg.WireBytes(n) }
 func Connect(a, b *MAC) {
 	a.peer = b
 	b.peer = a
-}
-
-// schedDeliver schedules a peer delivery at absolute time t, routing over
-// the cross-domain edge when the peer lives in another domain. The closure
-// must touch only the peer's state (it executes in the peer's kernel).
-func (m *MAC) schedDeliver(t sim.Time, fn func()) {
-	if m.crossOut != nil {
-		m.crossOut.At(t, fn)
-		return
-	}
-	m.k.At(t, fn)
 }
 
 // Send queues a frame for transmission, blocking p when the TX queue is
@@ -219,7 +197,7 @@ func (m *MAC) txLoop(p *sim.Proc) {
 			panic("ethernet: MAC " + m.name + " transmitting with no peer")
 		}
 		frame := f
-		m.schedDeliver(delivered+storeDelay, func() { m.peer.deliver(frame) })
+		m.k.At(delivered+storeDelay, func() { m.peer.deliver(frame) })
 		// Block for serialization only; latency and buffering pipeline.
 		p.Sleep(delivered - m.cfg.WireLatency - p.Now())
 	}
@@ -231,7 +209,7 @@ func (m *MAC) txLoop(p *sim.Proc) {
 func (m *MAC) sendPause(quanta sim.Time) {
 	m.pausesSent++
 	f := Frame{pause: true, quanta: quanta}
-	m.schedDeliver(m.k.Now()+m.cfg.WireLatency, func() {
+	m.k.At(m.k.Now()+m.cfg.WireLatency, func() {
 		if m.peer != nil {
 			m.peer.deliver(f)
 		}

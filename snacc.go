@@ -646,8 +646,8 @@ func newClusterSystem(opts Options, functional bool) (*System, error) {
 		ccfg.TraceSpans = true
 		ccfg.SpanLimit = opts.Trace.SpanLimit
 	}
-	if len(co.NodeFaults) > 0 {
-		faults := co.NodeFaults
+	faults := co.NodeFaults
+	if len(faults) > 0 {
 		ccfg.NodeInjector = func(node int) *fault.Injector {
 			f := faults[node]
 			if f == nil {
@@ -655,10 +655,13 @@ func newClusterSystem(opts Options, functional bool) (*System, error) {
 			}
 			return buildInjector(f)
 		}
-		ccfg.StreamerTune = func(node int, cfg *streamer.Config) {
-			if f := faults[node]; f != nil {
-				applyFaultRecovery(cfg, f)
-			}
+	}
+	ccfg.StreamerTune = func(node int, cfg *streamer.Config) {
+		cfg.IOQueues = opts.IOQueues
+		cfg.DoorbellBatch = opts.DoorbellBatch
+		cfg.OutOfOrder = opts.OutOfOrder
+		if f := faults[node]; f != nil {
+			applyFaultRecovery(cfg, f)
 		}
 	}
 	for _, pt := range co.Partitions {
