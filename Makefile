@@ -19,13 +19,13 @@ test: vet
 # kernel/buffer-pool hot paths, the pooled PCIe and DRAM callback records,
 # the fault-injection/recovery machinery (including the controller
 # crash-recovery ladder and its multi-queue/ring-wrap variants), the
-# cluster, and the facade's error paths.
+# cluster, and the facade's error paths, process panics and Close.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/sim/... ./internal/bufpool/... ./internal/pcie/ ./internal/memmodel/ ./internal/fault/... ./internal/obs/... ./internal/ethernet/... ./internal/serve/... ./internal/workload/...
 	$(GO) test -race -run 'Fault|Retry|Timeout|CQE|Crash|Breaker|Death|CFS|Degraded|Span|Wrap|MultiQueue|Tenant' ./internal/streamer/
 	$(GO) test -race -run 'TestParallelDeterminism' ./internal/bench/
 	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'TestClusterRandomizedDataIntegrity|TestHandleRejectsWithoutPanic|TestTenantFacadeGuards' .
+	$(GO) test -race -run 'TestClusterRandomizedDataIntegrity|TestHandleRejectsWithoutPanic|TestTenantFacadeGuards|Close|ProcPanic' .
 
 # Fails on any file gofmt would rewrite, listing them.
 vet:

@@ -44,8 +44,7 @@ func runClusterIntegrity(t *testing.T, replication int) {
 	rng := sim.NewRand(uint64(replication)*31 + 5)
 
 	// Failures are collected and reported outside Execute: t.Fatalf inside
-	// a sim proc goroutine aborts it without unwinding the kernel and
-	// deadlocks the run.
+	// a process would abandon the kernel in the middle of its run.
 	var failure string
 	sys.Execute(func(h *Handle) {
 		for op := 0; op < 70; op++ {

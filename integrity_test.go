@@ -36,9 +36,8 @@ func runIntegrity(t *testing.T, opts Options) {
 	shadow := make([]byte, span)
 	rng := sim.NewRand(uint64(opts.Variant) + 99)
 
-	// Failures are collected and reported outside Execute: t.Fatalf
-	// inside a sim proc goroutine aborts it without unwinding the
-	// kernel and deadlocks the run.
+	// Failures are collected and reported outside Execute: t.Fatalf inside
+	// a process would abandon the kernel in the middle of its run.
 	var failure string
 	sys.Execute(func(h *Handle) {
 		for op := 0; op < 120; op++ {

@@ -213,9 +213,11 @@ func New(cfg Config) (*Cluster, error) {
 	cl.k.Run(0)
 	for _, n := range cl.nodes {
 		if n.initErr != nil {
+			cl.Close()
 			return nil, fmt.Errorf("cluster: node %d init: %w", n.id, n.initErr)
 		}
 		if !n.initOK {
+			cl.Close()
 			return nil, fmt.Errorf("cluster: node %d initialization stalled", n.id)
 		}
 	}
@@ -236,6 +238,11 @@ func MustNew(cfg Config) *Cluster {
 	}
 	return cl
 }
+
+// Close stops every process on the cluster's kernel: the node and
+// coordinator daemons and anything still parked. It is idempotent; using
+// the cluster after Close is a programming error.
+func (cl *Cluster) Close() { cl.k.Close() }
 
 // Execute runs fn as a process and advances the kernel until everything
 // it triggered drains.

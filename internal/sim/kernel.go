@@ -164,6 +164,11 @@ type Kernel struct {
 	parked        int
 	daemons       int
 	parkedDaemons int
+	// coros holds every process coroutine the kernel made, so Close can
+	// stop them; idle holds the finished ones Spawn reuses.
+	coros  []*coro
+	idle   FreeList[coro]
+	closed bool
 }
 
 // NewKernel returns a kernel with simulated time at zero.
@@ -197,8 +202,12 @@ func (k *Kernel) Stop() { k.stopped = true }
 // the time of the last executed event.
 //
 // Run panics if the event queue drains while processes remain parked — that
-// is a deadlock in the modeled hardware and always a bug.
+// is a deadlock in the modeled hardware and always a bug. A panic inside a
+// process propagates out of Run as a *ProcPanic.
 func (k *Kernel) Run(horizon Time) Time {
+	if k.closed {
+		panic("sim: Run on a closed kernel")
+	}
 	k.stopped = false
 	for k.queue.len() > 0 && !k.stopped {
 		// Peek before popping: an over-horizon event stays where it is, so

@@ -34,7 +34,7 @@ func TestRunHorizonThenResume(t *testing.T) {
 	}
 	k.Run(0)
 	if len(hits) != 4 {
-		t.Fatalf("hits after resume = %d, want 4", len(hits))
+		t.Fatalf("hits after the second Run = %d, want 4", len(hits))
 	}
 	if hits[3] != 400 {
 		t.Fatalf("final hit at %v, want 400", hits[3])

@@ -394,7 +394,7 @@ const systemBARWindow = 0x10_0000_0000
 // NewSystem builds and initializes a system. The SSD's register BAR is not
 // hard-coded: the host enumerates the fabric's config space and locates
 // the device by its NVMe class code, the way a real kernel probes.
-func NewSystem(opts Options) (*System, error) {
+func NewSystem(opts Options) (sys *System, err error) {
 	functional := true
 	if opts.Functional != nil {
 		functional = *opts.Functional
@@ -415,6 +415,11 @@ func NewSystem(opts Options) (*System, error) {
 		return newClusterSystem(opts, functional)
 	}
 	k := sim.NewKernel()
+	defer func() {
+		if err != nil {
+			k.Close()
+		}
+	}()
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", 0) // BAR assigned by enumeration
 	devCfg.Functional = functional
@@ -482,7 +487,7 @@ func NewSystem(opts Options) (*System, error) {
 	if !done {
 		return nil, fmt.Errorf("snacc: initialization stalled")
 	}
-	sys := &System{kernel: k, plat: pl, dev: dev, st: st,
+	sys = &System{kernel: k, plat: pl, dev: dev, st: st,
 		client: streamer.NewClient(st), injector: injector,
 		tracer: tracer, boundary: boundary}
 	if len(opts.Tenants) > 0 {
@@ -692,6 +697,17 @@ func MustNewSystem(opts Options) *System {
 		panic(err)
 	}
 	return s
+}
+
+// Close stops every simulation process the system owns, so a dropped
+// system holds no goroutines and can be garbage collected. It is
+// idempotent; using the system after Close is a programming error.
+func (s *System) Close() {
+	if s.cluster != nil {
+		s.cluster.Close()
+		return
+	}
+	s.kernel.Close()
 }
 
 // Handle drives the Streamer from inside the simulation, the way a user

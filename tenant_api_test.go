@@ -2,6 +2,7 @@ package snacc
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,11 +113,17 @@ func TestTenantFacadeGuards(t *testing.T) {
 }
 
 func TestTenantFacadeBadConfig(t *testing.T) {
+	before := runtime.NumGoroutine()
 	_, err := NewSystem(Options{Tenants: []TenantConfig{
 		{Name: "a", LBAStart: 0, LBABytes: 2 * sim.MiB},
 		{Name: "b", LBAStart: uint64(sim.MiB), LBABytes: 2 * sim.MiB}, // overlaps a
 	}})
 	if err == nil {
 		t.Fatal("overlapping tenant windows accepted")
+	}
+	// The platform was up when the hub rejected the windows; NewSystem
+	// must close its kernel rather than leak the processes.
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("%d goroutines after the failed NewSystem, want %d", got, before)
 	}
 }
