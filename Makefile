@@ -27,11 +27,17 @@ race:
 	$(GO) test -race ./internal/cluster/
 	$(GO) test -race -run 'TestClusterRandomizedDataIntegrity|TestHandleRejectsWithoutPanic|TestTenantFacadeGuards|Close|ProcPanic' .
 
-# Fails on any file gofmt would rewrite, listing them.
+# Fails on any file gofmt would rewrite, listing them, and on any non-test
+# file outside internal/tapasco and simcost/ that drives the host driver by
+# hand instead of bringing the platform up with tapasco's Init or Boot.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
+	@direct=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+		'(NewDriver|InitController|AttachStreamer)\(' . | grep -v -e '^\./internal/tapasco/' -e '^\./simcost/'); \
+	if [ -n "$$direct" ]; then \
+		echo "bring-up outside internal/tapasco (use Platform.Init or Boot):"; echo "$$direct"; exit 1; fi
 
 # Per-package statement coverage, with a ratchet on the packages whose test
 # suites this repo leans on hardest: the span tracer, the trace parser, and

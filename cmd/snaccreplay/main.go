@@ -73,6 +73,7 @@ func main() {
 	for _, v := range variants {
 		sys := snacc.MustNewSystem(snacc.Options{Variant: v, Functional: &functional})
 		res, err := sys.ReplayTrace(name, ops)
+		sys.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", v, err)
 			os.Exit(1)

@@ -67,38 +67,20 @@ func main() {
 		return
 	}
 
+	// A private rig rather than snacc.NewSystem: the facade drains the
+	// kernel after bring-up before the workload starts, which would shift
+	// every printed timestamp by the tail of the admin traffic.
 	k := sim.NewKernel()
+	defer k.Close()
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+	dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, v))
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-
-	tr := pcie.NewTracer(k)
-	if v != streamer.HostDRAM {
-		base := st.Config().WindowBase
-		span := uint64(st.Config().ReadBufBytes + st.Config().WriteBufBytes)
-		if v == streamer.URAM {
-			span = uint64(st.Config().ReadBufBytes)
-		}
-		tr.Filter = func(addr uint64, n int64) bool {
-			return addr >= base && addr < base+span && n >= 4096
-		}
-		pl.Card.AttachTracer(tr)
-	} else {
-		// The host-DRAM variant stages in host memory: trace there.
-		hostCfg := pl.Config().Host
-		tr.Filter = func(addr uint64, n int64) bool {
-			return addr >= hostCfg.MemBase && n >= 4096
-		}
-		pl.Host.Port.AttachTracer(tr)
-	}
+	pl.Bind(dev, st)
+	tr := pl.TraceBoundary(st)
 
 	var bw float64
 	k.Spawn("main", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
+		if err := pl.Init(p); err != nil {
 			panic(err)
 		}
 		c := streamer.NewClient(st)
@@ -117,12 +99,8 @@ func main() {
 
 	evs := tr.Events()
 	fmt.Printf("captured %d transactions at the staging-buffer boundary\n", len(evs))
-	n := *events
-	if n > len(evs) {
-		n = len(evs)
-	}
 	fmt.Println("first events:")
-	for _, e := range evs[:n] {
+	for _, e := range evs[:min(*events, len(evs))] {
 		fmt.Printf("  %12v  %-9s addr=%#x len=%d\n", e.At, e.Kind, e.Addr, e.Len)
 	}
 
@@ -159,6 +137,7 @@ func runSpans(v streamer.Variant, op string, sizeMiB int64, nspans int) {
 		// Retain every span: one command per MiB each way, plus slack.
 		Trace: &snacc.TraceOptions{SpanLimit: int(2*sizeMiB) + 16},
 	})
+	defer sys.Close()
 	var ioErr error
 	sys.Execute(func(h *snacc.Handle) {
 		ioErr = h.WriteTimed(0, sizeMiB*sim.MiB)

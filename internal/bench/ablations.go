@@ -8,6 +8,7 @@ import (
 	"snacc/internal/memmodel"
 	"snacc/internal/nvme"
 	"snacc/internal/sim"
+	"snacc/internal/spdk"
 	"snacc/internal/streamer"
 	"snacc/internal/tapasco"
 )
@@ -27,13 +28,10 @@ func AblationQD(depths []int, totalBytes int64) []AblationQDRow {
 	const span = 64 * sim.GiB
 	return mapRows(len(depths), func(i int) AblationQDRow {
 		qd := depths[i]
-		k, _, drvC := buildSPDK(qd, nil)
 		var spdkGB float64
-		k.Spawn("bench", func(p *sim.Proc) {
-			d := awaitDriver(p, drvC)
+		measureSPDK(qd, nil, func(p *sim.Proc, d *spdk.Driver) {
 			spdkGB = spdkRand(p, d, nvme.OpRead, totalBytes)
 		})
-		k.Run(0)
 
 		rig := buildSNAcc(streamer.URAM, func(c *streamer.Config) { c.QueueDepth = qd }, nil)
 		var snGB float64
@@ -93,30 +91,21 @@ func AblationMultiSSD(counts []int, perSSDBytes int64) []AblationMultiSSDRow {
 	return mapRows(len(counts), func(ci int) AblationMultiSSDRow {
 		n := counts[ci]
 		k := sim.NewKernel()
+		defer k.Close()
 		pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
 		var clients []*streamer.Client
-		var drvs []*tapasco.Driver
-		var sts []*streamer.Streamer
 		for i := 0; i < n; i++ {
-			bar := uint64(ssdBAR) + uint64(i)*0x1000_0000
-			name := fmt.Sprintf("ssd%d", i)
-			nvme.New(k, pl.Fabric, nvme.DefaultConfig(name, bar))
+			dev := pl.AddSSD(nvme.DefaultConfig(fmt.Sprintf("ssd%d", i), uint64(ssdBAR)+uint64(i)*0x1000_0000))
 			// URAM windows are cheap; one per SSD keeps queues separate.
 			st := pl.AddStreamer(streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM))
-			sts = append(sts, st)
+			pl.Bind(dev, st)
 			clients = append(clients, streamer.NewClient(st))
-			drvs = append(drvs, tapasco.NewDriver(pl, name, bar))
 		}
 		var start, end sim.Time
 		done := 0
 		k.Spawn("main", func(p *sim.Proc) {
-			for i := range drvs {
-				if err := drvs[i].InitController(p); err != nil {
-					panic(err)
-				}
-				if err := drvs[i].AttachStreamer(p, sts[i], 1); err != nil {
-					panic(err)
-				}
+			if err := pl.Init(p); err != nil {
+				panic(err)
 			}
 			start = p.Now()
 			fin := sim.NewChan[struct{}](k, n)
@@ -194,21 +183,19 @@ func AblationDRAM(totalBytes int64) []AblationDRAMRow {
 			label = "dual controller / HBM (§7)"
 		}
 		k := sim.NewKernel()
+		defer k.Close()
 		plCfg := tapasco.DefaultU280()
 		if dual {
 			plCfg.DRAM.Turnaround = 0
 			plCfg.DRAM.RowMissPenalty = 0
 		}
 		pl := tapasco.NewPlatform(k, plCfg)
-		nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+		dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 		st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.OnboardDRAM))
-		drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
+		pl.Bind(dev, st)
 		var wr float64
 		k.Spawn("main", func(p *sim.Proc) {
-			if err := drv.InitController(p); err != nil {
-				panic(err)
-			}
-			if err := drv.AttachStreamer(p, st, 1); err != nil {
+			if err := pl.Init(p); err != nil {
 				panic(err)
 			}
 			wr = streamer.SeqWrite(p, streamer.NewClient(st), 0, totalBytes).GBps()
@@ -237,8 +224,9 @@ func AblationHBM(totalBytes int64) []AblationHBMRow {
 			label = "HBM2, 32 channels (§7)"
 		}
 		k := sim.NewKernel()
+		defer k.Close()
 		pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-		nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+		dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 		cfg := streamer.DefaultConfig("snacc0", 0, streamer.OnboardDRAM)
 		var st *streamer.Streamer
 		if hbm {
@@ -248,13 +236,10 @@ func AblationHBM(totalBytes int64) []AblationHBMRow {
 		} else {
 			st = pl.AddStreamer(cfg)
 		}
-		drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
+		pl.Bind(dev, st)
 		var wr, rd float64
 		k.Spawn("main", func(p *sim.Proc) {
-			if err := drv.InitController(p); err != nil {
-				panic(err)
-			}
-			if err := drv.AttachStreamer(p, st, 1); err != nil {
+			if err := pl.Init(p); err != nil {
 				panic(err)
 			}
 			c := streamer.NewClient(st)
@@ -319,26 +304,19 @@ func AblationQP(counts []int, totalBytes int64) []AblationQPRow {
 		for _, random := range []bool{false, true} {
 			k := sim.NewKernel()
 			pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-			nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+			dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 			var clients []*streamer.Client
-			var sts []*streamer.Streamer
 			for i := 0; i < n; i++ {
 				st := pl.AddStreamer(streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM))
-				sts = append(sts, st)
+				pl.Bind(dev, st)
 				clients = append(clients, streamer.NewClient(st))
 			}
-			drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
 			per := totalBytes / int64(n)
 			var start, end sim.Time
 			random := random
 			k.Spawn("main", func(p *sim.Proc) {
-				if err := drv.InitController(p); err != nil {
+				if err := pl.Init(p); err != nil {
 					panic(err)
-				}
-				for i := range sts {
-					if err := drv.AttachStreamer(p, sts[i], uint16(i+1)); err != nil {
-						panic(err)
-					}
 				}
 				start = p.Now()
 				fin := sim.NewChan[struct{}](k, n)
@@ -360,6 +338,7 @@ func AblationQP(counts []int, totalBytes int64) []AblationQPRow {
 				end = p.Now()
 			})
 			k.Run(0)
+			k.Close()
 			gb := float64(totalBytes) / (end - start).Seconds() / 1e9
 			if random {
 				row.RandReadGB = gb

@@ -36,45 +36,37 @@ type snaccRig struct {
 
 // buildSNAcc assembles platform + SSD + streamer and runs initialization.
 func buildSNAcc(v streamer.Variant, mutSt func(*streamer.Config), mutDev func(*nvme.Config)) *snaccRig {
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+	pl := tapasco.NewPlatform(sim.NewKernel(), tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", ssdBAR)
 	if mutDev != nil {
 		mutDev(&devCfg)
 	}
-	dev := nvme.New(k, pl.Fabric, devCfg)
+	dev := pl.AddSSD(devCfg)
 	stCfg := streamer.DefaultConfig("snacc0", 0, v)
 	if mutSt != nil {
 		mutSt(&stCfg)
 	}
 	st := pl.AddStreamer(stCfg)
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	ok := false
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			panic(err)
-		}
-		ok = true
-	})
-	k.Run(0)
-	if !ok {
-		panic("bench: initialization failed")
+	pl.Bind(dev, st)
+	if err := pl.Boot(); err != nil {
+		panic(err)
 	}
-	return &snaccRig{k: k, pl: pl, dev: dev, st: st, c: streamer.NewClient(st)}
+	return &snaccRig{k: pl.K, pl: pl, dev: dev, st: st, c: streamer.NewClient(st)}
 }
 
-// measure runs fn in a fresh proc and drains the kernel.
+// measure runs fn in a fresh proc, drains the kernel and closes it: a rig
+// measures once.
 func (r *snaccRig) measure(fn func(p *sim.Proc)) {
+	defer r.k.Close()
 	r.k.Spawn("bench", fn)
 	r.k.Run(0)
 }
 
-// buildSPDK assembles host + SSD and attaches the SPDK driver.
-func buildSPDK(qd int, mutDev func(*nvme.Config)) (*sim.Kernel, *pcie.Host, chan *spdk.Driver) {
+// measureSPDK assembles host + SSD, attaches the SPDK driver at queue depth
+// qd (0 selects the default), runs fn against it, and closes the kernel.
+func measureSPDK(qd int, mutDev func(*nvme.Config), fn func(p *sim.Proc, d *spdk.Driver)) {
 	k := sim.NewKernel()
+	defer k.Close()
 	f := pcie.NewFabric(k, pcie.DefaultConfig())
 	host := pcie.NewHost(f, pcie.DefaultHostConfig())
 	devCfg := nvme.DefaultConfig("ssd0", ssdBAR)
@@ -83,19 +75,25 @@ func buildSPDK(qd int, mutDev func(*nvme.Config)) (*sim.Kernel, *pcie.Host, chan
 	}
 	nvme.New(k, f, devCfg)
 	f.IOMMU().Grant("ssd0", pcie.DefaultHostConfig().MemBase, pcie.DefaultHostConfig().MemSize)
-	out := make(chan *spdk.Driver, 1)
 	cfg := spdk.DefaultDriverConfig()
 	if qd > 0 {
 		cfg.QueueDepth = qd
 	}
+	var drv *spdk.Driver
 	k.Spawn("attach", func(p *sim.Proc) {
 		d, err := spdk.Attach(p, host, ssdBAR, cfg)
 		if err != nil {
 			panic(err)
 		}
-		out <- d
+		drv = d
 	})
-	return k, host, out
+	k.Spawn("bench", func(p *sim.Proc) {
+		for drv == nil {
+			p.Sleep(10 * sim.Microsecond)
+		}
+		fn(p, drv)
+	})
+	k.Run(0)
 }
 
 // Table is a generic labelled result grid used by the CLI output.

@@ -58,6 +58,7 @@ func ClusterSweep(grid [][3]int, totalBytes int64) []ClusterSweepRow {
 		shape := grid[i]
 		cfg := clusterEpisodeConfig(shape[0], shape[1], shape[2])
 		cl := cluster.MustNew(cfg)
+		defer cl.Close()
 		const op = 64 * sim.KiB
 		span := 4 * sim.MiB
 		var start, end sim.Time
@@ -108,6 +109,7 @@ func ClusterTimeline(until, window sim.Time) ([]TimelinePoint, cluster.Stats) {
 		{Node: 1, Drop: true, From: until / 4, Until: until / 2},
 	}
 	cl := cluster.MustNew(cfg)
+	defer cl.Close()
 	const op = 64 * sim.KiB
 	span := 4 * sim.MiB
 	var points []TimelinePoint

@@ -24,16 +24,11 @@ type CrashSweepRow struct {
 	Aborts      int64   // commands failed terminally (0 when recovery works)
 }
 
-// crashLadder enables the full recovery ladder on top of the per-command
-// reference settings: a two-timeout breaker, two reset attempts, and a 1 ms
-// controller-status poll as the fast-detect path (the 50 ms CmdTimeout is
-// sized for worst-case queue-depth bursts, far too slow for crash detection).
-func crashLadder(c *streamer.Config) {
-	faultRecovery(c)
-	c.BreakerThreshold = 2
-	c.MaxResets = 2
-	c.CFSPollInterval = sim.Millisecond
-}
+// crashLadder arms the full recovery ladder on top of the per-command
+// reference settings (streamer.Config.ArmRecovery): the 50 ms CmdTimeout is
+// sized for worst-case queue-depth bursts, far too slow for crash
+// detection, so the 1 ms status poll is the fast-detect path.
+func crashLadder(c *streamer.Config) { c.ArmRecovery(true) }
 
 // CrashSweep measures URAM sequential-read goodput and mean time to recover
 // as the injected controller-crash rate grows. Each row builds a fresh rig
@@ -105,13 +100,11 @@ type StripedDegradedRow struct {
 // surviving stripe reads back.
 func StripedDegraded(members int, totalBytes int64) StripedDegradedRow {
 	k := sim.NewKernel()
+	defer k.Close()
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
 	var sts []*streamer.Streamer
-	var drvs []*tapasco.Driver
 	for i := 0; i < members; i++ {
-		bar := uint64(ssdBAR) + uint64(i)*0x100000
-		name := fmt.Sprintf("ssd%d", i)
-		dev := nvme.New(k, pl.Fabric, nvme.DefaultConfig(name, bar))
+		dev := pl.AddSSD(nvme.DefaultConfig(fmt.Sprintf("ssd%d", i), uint64(ssdBAR)+uint64(i)*0x100000))
 		if i == 1 {
 			// Surprise-remove member 1 mid-stream: no reset revives it, so
 			// the ladder exhausts its resets and declares the member dead.
@@ -122,19 +115,15 @@ func StripedDegraded(members int, totalBytes int64) StripedDegradedRow {
 		}
 		stCfg := streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM)
 		crashLadder(&stCfg)
-		sts = append(sts, pl.AddStreamer(stCfg))
-		drvs = append(drvs, tapasco.NewDriver(pl, name, bar))
+		st := pl.AddStreamer(stCfg)
+		pl.Bind(dev, st)
+		sts = append(sts, st)
 	}
 	row := StripedDegradedRow{Members: members, DeadMember: -1}
 	var start, end sim.Time
 	k.Spawn("main", func(p *sim.Proc) {
-		for i := range drvs {
-			if err := drvs[i].InitController(p); err != nil {
-				panic(err)
-			}
-			if err := drvs[i].AttachStreamer(p, sts[i], 1); err != nil {
-				panic(err)
-			}
+		if err := pl.Init(p); err != nil {
+			panic(err)
 		}
 		s := streamer.NewStriped(k, sts, sim.MiB)
 		start = p.Now()

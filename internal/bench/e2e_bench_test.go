@@ -14,10 +14,10 @@ import (
 // targets; run with -benchmem to watch steady-state allocations.
 func benchmarkStreamerRead(b *testing.B, ioBytes int64) {
 	rig := buildSNAcc(streamer.URAM, nil, nil)
+	defer rig.k.Close()
 	run := func() {
-		rig.measure(func(p *sim.Proc) {
-			rig.c.ReadErr(p, 0, ioBytes)
-		})
+		rig.k.Spawn("bench", func(p *sim.Proc) { rig.c.ReadErr(p, 0, ioBytes) })
+		rig.k.Run(0)
 	}
 	run() // warm the rig (queues created, pools primed)
 	b.SetBytes(ioBytes)
@@ -46,10 +46,10 @@ func BenchmarkStreamerRead4KMultiQueue(b *testing.B) {
 		cfg.IOQueues = 4
 		cfg.DoorbellBatch = 8
 	}, nil)
+	defer rig.k.Close()
 	run := func() {
-		rig.measure(func(p *sim.Proc) {
-			rig.c.ReadErr(p, 0, 64*sim.KiB)
-		})
+		rig.k.Spawn("bench", func(p *sim.Proc) { rig.c.ReadErr(p, 0, 64*sim.KiB) })
+		rig.k.Run(0)
 	}
 	run() // warm the rig (queues created, pools primed, dbSlots grown)
 	b.SetBytes(64 * sim.KiB)

@@ -24,14 +24,11 @@ type FaultSweepRow struct {
 	Amplification float64 // commands submitted / commands retired
 }
 
-// faultRecovery enables the streamer's recovery machinery with the sweep's
-// reference settings: a deadline comfortably above worst-case device latency,
-// three resubmissions, and a short exponential backoff base.
-func faultRecovery(c *streamer.Config) {
-	c.CmdTimeout = 50 * sim.Millisecond
-	c.MaxRetries = 3
-	c.RetryBackoff = 10 * sim.Microsecond
-}
+// faultRecovery enables the streamer's per-command recovery with the
+// reference settings of streamer.Config.ArmRecovery: a deadline comfortably
+// above worst-case device latency, three resubmissions, and a short
+// exponential backoff base.
+func faultRecovery(c *streamer.Config) { c.ArmRecovery(false) }
 
 // FaultSweep measures sequential read goodput and retry amplification of the
 // URAM variant as the injected NVMe read-error rate grows. Each rate builds a

@@ -33,18 +33,15 @@ func Fig4a(totalBytes int64) []Fig4aRow {
 	variants := Variants()
 	return mapRows(len(variants)+1, func(i int) Fig4aRow {
 		if i == len(variants) {
-			k, _, drvC := buildSPDK(64, epoch)
 			var rd float64
 			var writes []float64
-			k.Spawn("bench", func(p *sim.Proc) {
-				d := awaitDriver(p, drvC)
+			measureSPDK(64, epoch, func(p *sim.Proc, d *spdk.Driver) {
 				rd = spdkSeq(p, d, nvme.OpRead, totalBytes)
 				spdkSeq(p, d, nvme.OpWrite, fig4aWarmup)
 				for i := 0; i < 2; i++ {
 					writes = append(writes, spdkSeq(p, d, nvme.OpWrite, totalBytes))
 				}
 			})
-			k.Run(0)
 			return fig4aRow("SPDK", rd, writes)
 		}
 		rig := buildSNAcc(variants[i], nil, epoch)
@@ -95,14 +92,11 @@ func Fig4b(totalBytes int64) []Fig4bRow {
 	variants := Variants()
 	return mapRows(len(variants)+1, func(i int) Fig4bRow {
 		if i == len(variants) {
-			k, _, drvC := buildSPDK(64, nil)
 			var rr, rw float64
-			k.Spawn("bench", func(p *sim.Proc) {
-				d := awaitDriver(p, drvC)
+			measureSPDK(64, nil, func(p *sim.Proc, d *spdk.Driver) {
 				rr = spdkRand(p, d, nvme.OpRead, totalBytes)
 				rw = spdkRand(p, d, nvme.OpWrite, totalBytes)
 			})
-			k.Run(0)
 			return Fig4bRow{Label: "SPDK", RandReadGB: rr, RandWriteGB: rw}
 		}
 		rig := buildSNAcc(variants[i], nil, nil)
@@ -135,13 +129,10 @@ func Fig4c(samples int) []Fig4cRow {
 		var rd, wr *sim.Histogram
 		if i == len(variants) {
 			label = "SPDK"
-			k, _, drvC := buildSPDK(64, nil)
-			k.Spawn("bench", func(p *sim.Proc) {
-				d := awaitDriver(p, drvC)
+			measureSPDK(64, nil, func(p *sim.Proc, d *spdk.Driver) {
 				rd = spdk.Latency(p, d, nvme.OpRead, 4096, samples, 31)
 				wr = spdk.Latency(p, d, nvme.OpWrite, 4096, samples, 31)
 			})
-			k.Run(0)
 		} else {
 			label = variants[i].String()
 			rig := buildSNAcc(variants[i], nil, nil)
@@ -209,16 +200,6 @@ func spdkSeq(p *sim.Proc, d *spdk.Driver, op uint8, total int64) float64 {
 
 func spdkRand(p *sim.Proc, d *spdk.Driver, op uint8, total int64) float64 {
 	return spdk.RandomIO(p, d, op, total, 4096, 97).GBps()
-}
-
-// awaitDriver waits (in simulated time) for the attach process to publish
-// the driver handle. A raw Go channel receive would block the cooperative
-// scheduler.
-func awaitDriver(p *sim.Proc, c chan *spdk.Driver) *spdk.Driver {
-	for len(c) == 0 {
-		p.Sleep(10 * sim.Microsecond)
-	}
-	return <-c
 }
 
 // SweepRow is one point of the transfer-size convergence sweep.

@@ -37,13 +37,7 @@ func LatencyBreakdown(totalBytes int64) []LatencyRow {
 		rig := buildSNAcc(v, nil, nil)
 		// Retain every span: one command per MiB each way, plus slack.
 		tr := obs.NewTracer(int(2*totalBytes/sim.MiB) + 16)
-		rig.st.SetTracer(tr)
-		st := rig.st
-		rig.dev.SetCmdObserver(func(qid, cid uint16, stage obs.Stage, at sim.Time) {
-			if qid == 1 {
-				st.OnDeviceEvent(cid, stage, at)
-			}
-		})
+		rig.pl.TraceSpans(tr)
 		rig.measure(func(p *sim.Proc) {
 			streamer.SeqWrite(p, rig.c, 0, totalBytes)
 			streamer.SeqRead(p, rig.c, 0, totalBytes)

@@ -76,34 +76,22 @@ func serveSpec(clients int, ops int, phases []workload.PhaseSpec) workload.OpenL
 // streamer, serving tier over the Ethernet link — runs it to quiescence and
 // returns the tier's report.
 func runServeRig(spec workload.OpenLoopSpec, cfg serve.Config) serve.Report {
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+	pl := tapasco.NewPlatform(sim.NewKernel(), tapasco.DefaultU280())
+	defer pl.K.Close()
+	dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	tier, err := serve.New(k, cfg, spec, streamer.NewClient(st))
+	pl.Bind(dev, st)
+	tier, err := serve.New(pl.K, cfg, spec, streamer.NewClient(st))
 	if err != nil {
 		panic(err)
 	}
-
-	ok := false
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			panic(err)
-		}
-		ok = true
-	})
-	k.Run(0)
-	if !ok {
-		panic("bench: serve rig initialization failed")
-	}
-	if err := tier.Start(k.Now()); err != nil {
+	if err := pl.Boot(); err != nil {
 		panic(err)
 	}
-	k.Run(0)
+	if err := tier.Start(pl.K.Now()); err != nil {
+		panic(err)
+	}
+	pl.K.Run(0)
 	return tier.Report()
 }
 

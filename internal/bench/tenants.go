@@ -54,35 +54,21 @@ type tenantRig struct {
 }
 
 func newTenantRig(fifo bool) *tenantRig {
-	r := &tenantRig{k: sim.NewKernel()}
-	pl := tapasco.NewPlatform(r.k, tapasco.DefaultU280())
-	nvme.New(r.k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
-	stCfg := streamer.DefaultConfig("snacc0", 0, streamer.URAM)
-	st := pl.AddStreamer(stCfg)
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	hub, err := streamer.NewTenantHub(r.k, st, []streamer.TenantConfig{
+	pl := tapasco.NewPlatform(sim.NewKernel(), tapasco.DefaultU280())
+	dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
+	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
+	pl.Bind(dev, st)
+	hub, err := streamer.NewTenantHub(pl.K, st, []streamer.TenantConfig{
 		{Name: "victim", Weight: 1, LBAStart: 0, LBABytes: tenantWindowBytes},
 		{Name: "noisy", Weight: 1, LBAStart: uint64(tenantWindowBytes), LBABytes: tenantWindowBytes},
 	}, streamer.HubOptions{FIFO: fifo})
 	if err != nil {
 		panic(err)
 	}
-	r.hub = hub
-	ok := false
-	r.k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			panic(err)
-		}
-		ok = true
-	})
-	r.k.Run(0)
-	if !ok {
-		panic("bench: tenant rig initialization failed")
+	if err := pl.Boot(); err != nil {
+		panic(err)
 	}
-	return r
+	return &tenantRig{k: pl.K, hub: hub}
 }
 
 // victimLoop issues ops paced 4 KiB random reads and returns via elapsed.
@@ -142,6 +128,7 @@ func runTenantRig(sched string, fifo, withNoisy bool, victimOps, noisyOps int) [
 		rig.k.Spawn("noisy", noisyLoop(rig.hub.Client(1), noisyOps, &nElapsed))
 	}
 	rig.k.Run(0)
+	rig.k.Close()
 
 	row := func(tenant int, elapsed sim.Time) TenantSweepRow {
 		st := rig.hub.Stats()[tenant]

@@ -26,17 +26,18 @@ func runSNAcc(v streamer.Variant, cfg Config) (Result, *nvme.Device) {
 
 func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (Result, *nvme.Device) {
 	k := sim.NewKernel()
+	defer k.Close()
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
 	devCfg := nvme.DefaultConfig("ssd0", caseSSDBAR)
 	devCfg.Functional = cfg.Functional
-	dev := nvme.New(k, pl.Fabric, devCfg)
+	dev := pl.AddSSD(devCfg)
 	if devHook != nil {
 		devHook(dev)
 	}
 	stCfg := streamer.DefaultConfig("snacc0", 0, v)
 	stCfg.Functional = cfg.Functional
 	st := pl.AddStreamer(stCfg)
-	drv := tapasco.NewDriver(pl, "ssd0", caseSSDBAR)
+	pl.Bind(dev, st)
 
 	fe := newFrontEnd(k, cfg)
 	perImage := cfg.imageWriteBytes()
@@ -45,10 +46,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 	sentAt := make([]sim.Time, 0, cfg.Images)
 
 	k.Spawn("main", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			panic(err)
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
+		if err := pl.Init(p); err != nil {
 			panic(err)
 		}
 		c := streamer.NewClient(st)

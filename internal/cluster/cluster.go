@@ -216,10 +216,6 @@ func New(cfg Config) (*Cluster, error) {
 			cl.Close()
 			return nil, fmt.Errorf("cluster: node %d init: %w", n.id, n.initErr)
 		}
-		if !n.initOK {
-			cl.Close()
-			return nil, fmt.Errorf("cluster: node %d initialization stalled", n.id)
-		}
 	}
 
 	cl.co = newCoordinator(cl, comac)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"snacc/internal/ethernet"
@@ -29,47 +30,39 @@ type node struct {
 	rx     *fault.LinkInjector
 	tracer *obs.Tracer
 
-	initOK  bool
+	// initErr is Init's result, or errInitStalled until Init returns.
 	initErr error
 }
 
-// clusterRecoveryDefaults arms the Streamer's full recovery ladder — the
-// cluster's health tracker depends on nodes resolving local faults
-// (bounded retry, breaker, reset+replay) or failing commands terminally,
-// never stalling them.
-func clusterRecoveryDefaults(cfg *streamer.Config) {
-	cfg.CmdTimeout = 50 * sim.Millisecond
-	cfg.MaxRetries = 3
-	cfg.RetryBackoff = 10 * sim.Microsecond
-	cfg.BreakerThreshold = 2
-	cfg.MaxResets = 2
-	cfg.CFSPollInterval = sim.Millisecond
-}
+var errInitStalled = errors.New("initialization stalled")
 
 // newNode assembles node id on the cluster kernel and spawns its init
 // process (drained by New before traffic starts).
 func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
-	n := &node{id: id, k: k}
+	n := &node{id: id, k: k, initErr: errInitStalled}
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	devName := fmt.Sprintf("ssd%d", id)
-	devCfg := nvme.DefaultConfig(devName, nodeBAR)
+	devCfg := nvme.DefaultConfig(fmt.Sprintf("ssd%d", id), nodeBAR)
 	devCfg.Functional = cfg.Functional
 	if cfg.Seed != 0 {
 		// Distinct per-node NAND jitter streams from one cluster seed.
 		devCfg.NAND.Seed = splitmix64(cfg.Seed + uint64(id))
 	}
-	n.dev = nvme.New(k, pl.Fabric, devCfg)
+	n.dev = pl.AddSSD(devCfg)
 
 	stCfg := streamer.DefaultConfig(fmt.Sprintf("snacc%d", id), 0, cfg.Variant)
 	stCfg.Functional = cfg.Functional
 	if cfg.QueueDepth > 0 {
 		stCfg.QueueDepth = cfg.QueueDepth
 	}
-	clusterRecoveryDefaults(&stCfg)
+	// The health tracker depends on nodes resolving local faults (bounded
+	// retry, breaker, reset+replay) or failing commands terminally, never
+	// stalling them, so every node arms the full recovery ladder.
+	stCfg.ArmRecovery(true)
 	if cfg.StreamerTune != nil {
 		cfg.StreamerTune(id, &stCfg)
 	}
 	n.st = pl.AddStreamer(stCfg)
+	pl.Bind(n.dev, n.st)
 	n.c = streamer.NewClient(n.st)
 
 	if cfg.NodeInjector != nil {
@@ -80,13 +73,7 @@ func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	if cfg.TraceSpans {
 		n.tracer = obs.NewTracer(cfg.SpanLimit)
 		n.tracer.SetNode(id)
-		n.st.SetTracer(n.tracer)
-		st := n.st
-		n.dev.SetCmdObserver(func(qid, cid uint16, stage obs.Stage, at sim.Time) {
-			if qid >= 1 && int(qid) <= st.IOQueues() {
-				st.OnDeviceEvent(cid, stage, at)
-			}
-		})
+		pl.TraceSpans(n.tracer)
 	}
 
 	n.rx = fault.NewLinkInjector(splitmix64(cfg.Seed + uint64(id) + 0x746f))
@@ -103,18 +90,7 @@ func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
 	}
 
 	n.mac = ethernet.NewMAC(k, fmt.Sprintf("node%d", id), ecfg)
-	drv := tapasco.NewDriver(pl, devName, nodeBAR)
-	k.Spawn(fmt.Sprintf("node%d.init", id), func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			n.initErr = err
-			return
-		}
-		if err := drv.AttachStreamer(p, n.st, 1); err != nil {
-			n.initErr = err
-			return
-		}
-		n.initOK = true
-	})
+	k.Spawn(fmt.Sprintf("node%d.init", id), func(p *sim.Proc) { n.initErr = pl.Init(p) })
 	return n
 }
 

@@ -200,6 +200,23 @@ func (c *Config) breakerEnabled() bool {
 	return c.BreakerThreshold > 0 || c.CFSPollInterval > 0
 }
 
+// ArmRecovery sets the reference recovery settings: a 50 ms command
+// deadline, sized for worst-case queue-depth bursts, and three retries
+// starting 10 µs apart. With ladder set it also arms the controller-crash
+// ladder: a two-timeout breaker, two reset attempts per trip, and a 1 ms
+// status poll as the fast crash-detect path. Without ladder the breaker
+// settings are left as they are.
+func (c *Config) ArmRecovery(ladder bool) {
+	c.CmdTimeout = 50 * sim.Millisecond
+	c.MaxRetries = 3
+	c.RetryBackoff = 10 * sim.Microsecond
+	if ladder {
+		c.BreakerThreshold = 2
+		c.MaxResets = 2
+		c.CFSPollInterval = sim.Millisecond
+	}
+}
+
 // DefaultConfig returns the paper's configuration for a variant.
 func DefaultConfig(name string, windowBase uint64, v Variant) Config {
 	cfg := Config{

@@ -17,32 +17,21 @@ import (
 // enough to sustain a higher bandwidth, even though our end responds
 // immediately".
 func TestILADiagnosisOfP2PWriteLimit(t *testing.T) {
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	dev := nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+	pl := tapasco.NewPlatform(sim.NewKernel(), tapasco.DefaultU280())
+	dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-
-	tr := pcie.NewTracer(k)
+	pl.Bind(dev, st)
 	// Capture only the data-buffer window (skip SQ fetches, PRP reads).
-	base := st.Config().WindowBase
-	tr.Filter = func(addr uint64, n int64) bool {
-		return addr >= base && addr < base+uint64(4*sim.MiB) && n >= 4096
-	}
-	pl.Card.AttachTracer(tr)
+	tr := pl.TraceBoundary(st)
 
-	k.Spawn("main", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			t.Errorf("%v", err)
-			return
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
+	pl.K.Spawn("main", func(p *sim.Proc) {
+		if err := pl.Init(p); err != nil {
 			t.Errorf("%v", err)
 			return
 		}
 		streamer.SeqWrite(p, streamer.NewClient(st), 0, 64*sim.MiB)
 	})
-	k.Run(0)
+	pl.K.Run(0)
 
 	reqs := tr.OfKind(pcie.TraceReadReq)
 	if len(reqs) < 1000 {
@@ -67,32 +56,26 @@ func TestILADiagnosisOfP2PWriteLimit(t *testing.T) {
 	if svc > 2*sim.Microsecond {
 		t.Errorf("URAM service latency %v; should respond in well under 2us", svc)
 	}
-	_ = dev
 }
 
 // TestIOMMUDisabledHasNoEffect reproduces §5.2's control experiment:
 // "disabling the IOMMU had no [e]ffect" on the URAM write ceiling.
 func TestIOMMUDisabledHasNoEffect(t *testing.T) {
 	measure := func(iommu bool) float64 {
-		k := sim.NewKernel()
-		pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+		pl := tapasco.NewPlatform(sim.NewKernel(), tapasco.DefaultU280())
 		pl.Fabric.IOMMU().SetEnabled(iommu)
-		nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
+		dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
 		st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-		drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
+		pl.Bind(dev, st)
 		var bw float64
-		k.Spawn("main", func(p *sim.Proc) {
-			if err := drv.InitController(p); err != nil {
-				t.Errorf("%v", err)
-				return
-			}
-			if err := drv.AttachStreamer(p, st, 1); err != nil {
+		pl.K.Spawn("main", func(p *sim.Proc) {
+			if err := pl.Init(p); err != nil {
 				t.Errorf("%v", err)
 				return
 			}
 			bw = streamer.SeqWrite(p, streamer.NewClient(st), 0, 128*sim.MiB).GBps()
 		})
-		k.Run(0)
+		pl.K.Run(0)
 		return bw
 	}
 	on, off := measure(true), measure(false)

@@ -14,32 +14,23 @@ import (
 // read the streamer's PRP window the way the NVMe controller does.
 func prpProbe(t *testing.T, v streamer.Variant) (*tapasco.Platform, *streamer.Streamer, func(addr uint64, entries int) []uint64) {
 	t.Helper()
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", ssdBAR))
-	stCfg := streamer.DefaultConfig("snacc0", 0, v)
-	st := pl.AddStreamer(stCfg)
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			t.Errorf("%v", err)
-			return
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			t.Errorf("%v", err)
-		}
-	})
-	k.Run(0)
+	pl := tapasco.NewPlatform(sim.NewKernel(), tapasco.DefaultU280())
+	dev := pl.AddSSD(nvme.DefaultConfig("ssd0", ssdBAR))
+	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, v))
+	pl.Bind(dev, st)
+	if err := pl.Boot(); err != nil {
+		t.Fatal(err)
+	}
 	// Probe from the SSD's perspective: a raw read of the PRP region.
 	probe := func(addr uint64, entries int) []uint64 {
 		buf := make([]byte, entries*8)
 		donech := false
-		k.Spawn("probe", func(p *sim.Proc) {
+		pl.K.Spawn("probe", func(p *sim.Proc) {
 			// Use the host port (always granted) to issue the read.
 			pl.Host.Port.ReadB(p, addr, int64(len(buf)), buf)
 			donech = true
 		})
-		k.Run(0)
+		pl.K.Run(0)
 		if !donech {
 			t.Fatal("probe read stalled")
 		}

@@ -17,17 +17,13 @@ import (
 	"snacc/internal/streamer"
 )
 
-// attachSpanTracer wires a tracer onto a rig's streamer, including the
-// device-side fetch/execute events, the way snacc.NewSystem does.
-func attachSpanTracer(st *streamer.Streamer, dev *nvme.Device) *obs.Tracer {
+// tracedRig is rig with the span tracer wired the way snacc.NewSystem does
+// it, including the device-side fetch/execute events.
+func tracedRig(t *testing.T, v streamer.Variant, mut func(*streamer.Config)) (*sim.Kernel, *streamer.Client, *nvme.Device, *obs.Tracer) {
+	t.Helper()
 	tr := obs.NewTracer(1 << 16)
-	st.SetTracer(tr)
-	dev.SetCmdObserver(func(qid, cid uint16, stage obs.Stage, at sim.Time) {
-		if qid == 1 {
-			st.OnDeviceEvent(cid, stage, at)
-		}
-	})
-	return tr
+	k, sts, devs := bootPairs(t, 1, v, false, tr, mut)
+	return k, streamer.NewClient(sts[0]), devs[0], tr
 }
 
 // checkSpanInvariants asserts the core properties over a drained workload.
@@ -71,8 +67,7 @@ func TestSpanCleanPathCoversAllStages(t *testing.T) {
 				name += "/ooo"
 			}
 			t.Run(name, func(t *testing.T) {
-				k, c, dev := rig(t, v, false, func(cfg *streamer.Config) { cfg.OutOfOrder = ooo })
-				tr := attachSpanTracer(c.Streamer(), dev)
+				k, c, _, tr := tracedRig(t, v, func(cfg *streamer.Config) { cfg.OutOfOrder = ooo })
 				k.Spawn("pe", func(p *sim.Proc) {
 					mustWrite(t, p, c, 0, 2*sim.MiB+8192, nil)
 					mustRead(t, p, c, 0, 2*sim.MiB+8192)
@@ -107,10 +102,7 @@ func TestSpanCleanPathCoversAllStages(t *testing.T) {
 func TestSpanInvariantsFaultSweep(t *testing.T) {
 	for _, rate := range []float64{0.05, 0.25} {
 		t.Run(sim.Time(int64(rate*100)).String(), func(t *testing.T) {
-			k, c, dev := rig(t, streamer.URAM, false, func(cfg *streamer.Config) {
-				recovery(cfg)
-			})
-			tr := attachSpanTracer(c.Streamer(), dev)
+			k, c, dev, tr := tracedRig(t, streamer.URAM, recovery)
 			in := fault.NewInjector(7)
 			in.Add(fault.Rule{Name: "rd-err", Kind: fault.StatusError, Opcode: nvme.OpRead,
 				Probability: rate, Status: nvme.StatusDataTransferError})
@@ -151,8 +143,7 @@ func TestSpanInvariantsFaultSweep(t *testing.T) {
 // with a recurring controller crash and checks that replayed spans stay
 // monotone (the resubmission must clear the pre-crash device-path marks).
 func TestSpanInvariantsCrashLadder(t *testing.T) {
-	k, c, dev := rig(t, streamer.OnboardDRAM, false, crashRecovery)
-	tr := attachSpanTracer(c.Streamer(), dev)
+	k, c, dev, tr := tracedRig(t, streamer.OnboardDRAM, crashRecovery)
 	in := fault.NewInjector(7)
 	in.Add(fault.Rule{Name: "crash", Kind: fault.CrashCtrl, Opcode: fault.OpAny, Nth: 8})
 	in.Attach(dev)
@@ -197,8 +188,7 @@ func TestSpanInvariantsCrashLadder(t *testing.T) {
 // in-flight and subsequent span must still close, terminally, with the
 // death and fail-fast annotations in place.
 func TestSpanInvariantsControllerDeath(t *testing.T) {
-	k, c, dev := rig(t, streamer.URAM, false, crashRecovery)
-	tr := attachSpanTracer(c.Streamer(), dev)
+	k, c, dev, tr := tracedRig(t, streamer.URAM, crashRecovery)
 	in := fault.NewInjector(7)
 	in.Add(fault.Rule{Name: "remove", Kind: fault.RemoveCtrl, Opcode: fault.OpAny, Nth: 6, Count: 1})
 	in.Attach(dev)
@@ -239,8 +229,7 @@ func TestSpanInvariantsControllerDeath(t *testing.T) {
 // TestSpanInvariantsHangRecovery freezes the command engine mid-workload;
 // the hang resolves (revive or breaker), and every span must still close.
 func TestSpanInvariantsHangRecovery(t *testing.T) {
-	k, c, dev := rig(t, streamer.URAM, false, crashRecovery)
-	tr := attachSpanTracer(c.Streamer(), dev)
+	k, c, dev, tr := tracedRig(t, streamer.URAM, crashRecovery)
 	in := fault.NewInjector(7)
 	in.Add(fault.Rule{Name: "hang", Kind: fault.HangCtrl, Opcode: fault.OpAny,
 		Nth: 4, Count: 1, Delay: 2 * sim.Millisecond})
@@ -261,19 +250,9 @@ func TestSpanInvariantsHangRecovery(t *testing.T) {
 // single-threaded discipline holds) and the invariants must hold across the
 // healthy member's traffic and the dead member's fail-fast spans alike.
 func TestSpanInvariantsDegradedStriping(t *testing.T) {
-	k, s, devs := stripedRig(t, 2, false, crashRecovery)
 	tr := obs.NewTracer(1 << 16)
-	for i := 0; i < s.Width(); i++ {
-		st := s.Member(i).Streamer()
-		st.SetTracer(tr)
-		dev := devs[i]
-		stm := st
-		dev.SetCmdObserver(func(qid, cid uint16, stage obs.Stage, at sim.Time) {
-			if qid == 1 {
-				stm.OnDeviceEvent(cid, stage, at)
-			}
-		})
-	}
+	k, sts, devs := bootPairs(t, 2, streamer.URAM, false, tr, crashRecovery)
+	s := streamer.NewStriped(k, sts, sim.MiB)
 	in := fault.NewInjector(7)
 	in.Add(fault.Rule{Name: "remove", Kind: fault.RemoveCtrl, Opcode: fault.OpAny, Nth: 4, Count: 1})
 	in.Attach(devs[1])

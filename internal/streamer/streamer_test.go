@@ -2,9 +2,11 @@ package streamer_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"snacc/internal/nvme"
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 	"snacc/internal/tapasco"
@@ -36,38 +38,43 @@ func mustRead(t *testing.T, p *sim.Proc, c blockingIO, addr uint64, n int64) []b
 	return data
 }
 
+// bootPairs assembles one platform with n SSD+Streamer pairs of variant v,
+// span-traced into tr when it is non-nil, and runs the init sequence. Nil
+// mutators are skipped.
+func bootPairs(t *testing.T, n int, v streamer.Variant, functional bool, tr *obs.Tracer, mut ...func(*streamer.Config)) (*sim.Kernel, []*streamer.Streamer, []*nvme.Device) {
+	t.Helper()
+	pl := tapasco.NewPlatform(sim.NewKernel(), tapasco.DefaultU280())
+	var sts []*streamer.Streamer
+	var devs []*nvme.Device
+	for i := 0; i < n; i++ {
+		devCfg := nvme.DefaultConfig(fmt.Sprintf("ssd%d", i), ssdBAR+uint64(i)*0x100000)
+		devCfg.Functional = functional
+		dev := pl.AddSSD(devCfg)
+		stCfg := streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, v)
+		stCfg.Functional = functional
+		for _, m := range mut {
+			if m != nil {
+				m(&stCfg)
+			}
+		}
+		st := pl.AddStreamer(stCfg)
+		pl.Bind(dev, st)
+		sts, devs = append(sts, st), append(devs, dev)
+	}
+	if tr != nil {
+		pl.TraceSpans(tr)
+	}
+	if err := pl.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	return pl.K, sts, devs
+}
+
 // rig assembles platform + SSD + one streamer and runs the init sequence.
 func rig(t *testing.T, v streamer.Variant, functional bool, mut func(*streamer.Config)) (*sim.Kernel, *streamer.Client, *nvme.Device) {
 	t.Helper()
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	devCfg := nvme.DefaultConfig("ssd0", ssdBAR)
-	devCfg.Functional = functional
-	dev := nvme.New(k, pl.Fabric, devCfg)
-	stCfg := streamer.DefaultConfig("snacc0", 0, v)
-	stCfg.Functional = functional
-	if mut != nil {
-		mut(&stCfg)
-	}
-	st := pl.AddStreamer(stCfg)
-	drv := tapasco.NewDriver(pl, "ssd0", ssdBAR)
-	initDone := false
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			t.Errorf("InitController: %v", err)
-			return
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			t.Errorf("AttachStreamer: %v", err)
-			return
-		}
-		initDone = true
-	})
-	k.Run(0)
-	if !initDone {
-		t.Fatal("initialization did not complete")
-	}
-	return k, streamer.NewClient(st), dev
+	k, sts, devs := bootPairs(t, 1, v, functional, nil, mut)
+	return k, streamer.NewClient(sts[0]), devs[0]
 }
 
 func variants() []streamer.Variant {
@@ -265,40 +272,10 @@ func TestPRPListSynthesisExercised(t *testing.T) {
 
 func TestMultipleStreamersShareCard(t *testing.T) {
 	// Two streamers (e.g. toward two SSDs) must coexist in one BAR.
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	devA := nvme.DefaultConfig("ssdA", ssdBAR)
-	devB := nvme.DefaultConfig("ssdB", ssdBAR+0x1000_0000)
-	devA.Functional, devB.Functional = true, true
-	nvme.New(k, pl.Fabric, devA)
-	nvme.New(k, pl.Fabric, devB)
-	cfgA := streamer.DefaultConfig("snaccA", 0, streamer.URAM)
-	cfgA.Functional = true
-	cfgB := streamer.DefaultConfig("snaccB", 0, streamer.URAM)
-	cfgB.Functional = true
-	stA := pl.AddStreamer(cfgA)
-	stB := pl.AddStreamer(cfgB)
-	drvA := tapasco.NewDriver(pl, "ssdA", ssdBAR)
-	drvB := tapasco.NewDriver(pl, "ssdB", ssdBAR+0x1000_0000)
+	k, sts, _ := bootPairs(t, 2, streamer.URAM, true, nil)
 	ok := false
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drvA.InitController(p); err != nil {
-			t.Errorf("A init: %v", err)
-			return
-		}
-		if err := drvB.InitController(p); err != nil {
-			t.Errorf("B init: %v", err)
-			return
-		}
-		if err := drvA.AttachStreamer(p, stA, 1); err != nil {
-			t.Errorf("A attach: %v", err)
-			return
-		}
-		if err := drvB.AttachStreamer(p, stB, 1); err != nil {
-			t.Errorf("B attach: %v", err)
-			return
-		}
-		ca, cb := streamer.NewClient(stA), streamer.NewClient(stB)
+	k.Spawn("pe", func(p *sim.Proc) {
+		ca, cb := streamer.NewClient(sts[0]), streamer.NewClient(sts[1])
 		mustWrite(t, p, ca, 0, 8192, bytes.Repeat([]byte{0xAA}, 8192))
 		mustWrite(t, p, cb, 0, 8192, bytes.Repeat([]byte{0xBB}, 8192))
 		gotA := mustRead(t, p, ca, 0, 8192)
@@ -310,7 +287,7 @@ func TestMultipleStreamersShareCard(t *testing.T) {
 	})
 	k.Run(0)
 	if !ok {
-		t.Fatal("multi-streamer init failed")
+		t.Fatal("multi-streamer workload did not finish")
 	}
 }
 

@@ -10,50 +10,13 @@ import (
 	"snacc/internal/nvme"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
-	"snacc/internal/tapasco"
 )
 
 // stripedRig builds n SSD+streamer pairs consolidated into one address
 // space. An optional mutator adjusts every member's streamer config.
 func stripedRig(t *testing.T, n int, functional bool, mut ...func(*streamer.Config)) (*sim.Kernel, *streamer.Striped, []*nvme.Device) {
 	t.Helper()
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	var sts []*streamer.Streamer
-	var devs []*nvme.Device
-	var drvs []*tapasco.Driver
-	for i := 0; i < n; i++ {
-		bar := uint64(ssdBAR) + uint64(i)*0x100000
-		name := fmt.Sprintf("ssd%d", i)
-		devCfg := nvme.DefaultConfig(name, bar)
-		devCfg.Functional = functional
-		devs = append(devs, nvme.New(k, pl.Fabric, devCfg))
-		stCfg := streamer.DefaultConfig(fmt.Sprintf("snacc%d", i), 0, streamer.URAM)
-		stCfg.Functional = functional
-		for _, m := range mut {
-			m(&stCfg)
-		}
-		sts = append(sts, pl.AddStreamer(stCfg))
-		drvs = append(drvs, tapasco.NewDriver(pl, name, bar))
-	}
-	ok := false
-	k.Spawn("init", func(p *sim.Proc) {
-		for i := range drvs {
-			if err := drvs[i].InitController(p); err != nil {
-				t.Errorf("%v", err)
-				return
-			}
-			if err := drvs[i].AttachStreamer(p, sts[i], 1); err != nil {
-				t.Errorf("%v", err)
-				return
-			}
-		}
-		ok = true
-	})
-	k.Run(0)
-	if !ok {
-		t.Fatal("striped init failed")
-	}
+	k, sts, devs := bootPairs(t, n, streamer.URAM, functional, nil, mut...)
 	return k, streamer.NewStriped(k, sts, sim.MiB), devs
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"snacc/internal/memmodel"
+	"snacc/internal/nvme"
 	"snacc/internal/pcie"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
@@ -81,6 +82,11 @@ type Platform struct {
 	allSlots []*peSlot
 	dma      *DMAEngine
 	msiBase  uint64
+
+	// Bring-up inventory (bringup.go): SSDs in the order added, and the
+	// Streamer bound to each queue range.
+	ssds  []*nvme.Device
+	binds []binding
 }
 
 // NewPlatform assembles fabric, host and card.

@@ -6,10 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"snacc/internal/nvme"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
-	"snacc/internal/tapasco"
 )
 
 func TestParseTraceBasic(t *testing.T) {
@@ -126,25 +124,9 @@ func TestRecordTraceMatchesGenerator(t *testing.T) {
 // replayOn builds a full system and replays the trace on it.
 func replayOn(t *testing.T, ops []TraceOp) Result {
 	t.Helper()
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", 0x10_0000_0000))
-	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-	drv := tapasco.NewDriver(pl, "ssd0", 0x10_0000_0000)
 	var res Result
 	var err error
-	k.Spawn("main", func(p *sim.Proc) {
-		if e := drv.InitController(p); e != nil {
-			t.Errorf("%v", e)
-			return
-		}
-		if e := drv.AttachStreamer(p, st, 1); e != nil {
-			t.Errorf("%v", e)
-			return
-		}
-		res, err = Replay(p, streamer.NewClient(st), "trace", ops)
-	})
-	k.Run(0)
+	onRig(t, func(p *sim.Proc, c *streamer.Client) { res, err = Replay(p, c, "trace", ops) })
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -204,24 +186,9 @@ func TestReplayOpenLoopGapsThrottle(t *testing.T) {
 }
 
 func TestReplayRejectsMalformedOp(t *testing.T) {
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", 0x10_0000_0000))
-	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-	drv := tapasco.NewDriver(pl, "ssd0", 0x10_0000_0000)
-	k.Spawn("main", func(p *sim.Proc) {
-		if e := drv.InitController(p); e != nil {
-			t.Errorf("%v", e)
-			return
-		}
-		if e := drv.AttachStreamer(p, st, 1); e != nil {
-			t.Errorf("%v", e)
-			return
-		}
-		_, err := Replay(p, streamer.NewClient(st), "bad", []TraceOp{{Read: true, Addr: 7, N: 4096}})
-		if err == nil {
+	onRig(t, func(p *sim.Proc, c *streamer.Client) {
+		if _, err := Replay(p, c, "bad", []TraceOp{{Read: true, Addr: 7, N: 4096}}); err == nil {
 			t.Error("misaligned trace op accepted")
 		}
 	})
-	k.Run(0)
 }

@@ -129,28 +129,31 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// onRig builds a full URAM system and runs fn on it right after bring-up,
+// in the same process.
+func onRig(t *testing.T, fn func(p *sim.Proc, c *streamer.Client)) {
+	t.Helper()
+	pl := tapasco.NewPlatform(sim.NewKernel(), tapasco.DefaultU280())
+	defer pl.K.Close()
+	dev := pl.AddSSD(nvme.DefaultConfig("ssd0", 0x10_0000_0000))
+	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
+	pl.Bind(dev, st)
+	pl.K.Spawn("main", func(p *sim.Proc) {
+		if err := pl.Init(p); err != nil {
+			t.Errorf("%v", err)
+			return
+		}
+		fn(p, streamer.NewClient(st))
+	})
+	pl.K.Run(0)
+}
+
 // runOn builds a full system and executes the workload on it.
 func runOn(t *testing.T, spec Spec) Result {
 	t.Helper()
-	k := sim.NewKernel()
-	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
-	nvme.New(k, pl.Fabric, nvme.DefaultConfig("ssd0", 0x10_0000_0000))
-	st := pl.AddStreamer(streamer.DefaultConfig("snacc0", 0, streamer.URAM))
-	drv := tapasco.NewDriver(pl, "ssd0", 0x10_0000_0000)
 	var res Result
 	var err error
-	k.Spawn("main", func(p *sim.Proc) {
-		if e := drv.InitController(p); e != nil {
-			t.Errorf("%v", e)
-			return
-		}
-		if e := drv.AttachStreamer(p, st, 1); e != nil {
-			t.Errorf("%v", e)
-			return
-		}
-		res, err = Run(p, streamer.NewClient(st), spec)
-	})
-	k.Run(0)
+	onRig(t, func(p *sim.Proc, c *streamer.Client) { res, err = Run(p, c, spec) })
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

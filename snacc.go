@@ -426,7 +426,7 @@ func NewSystem(opts Options) (sys *System, err error) {
 	if opts.Seed != 0 {
 		devCfg.NAND.Seed = opts.Seed
 	}
-	dev := nvme.New(k, pl.Fabric, devCfg)
+	dev := pl.AddSSD(devCfg)
 	stCfg := streamer.DefaultConfig("snacc0", 0, opts.Variant)
 	stCfg.Functional = functional
 	stCfg.OutOfOrder = opts.OutOfOrder
@@ -439,6 +439,7 @@ func NewSystem(opts Options) (sys *System, err error) {
 		applyFaultRecovery(&stCfg, opts.Faults)
 	}
 	st := pl.AddStreamer(stCfg)
+	pl.Bind(dev, st)
 	var injector *fault.Injector
 	if opts.Faults != nil {
 		injector = buildInjector(opts.Faults)
@@ -448,44 +449,17 @@ func NewSystem(opts Options) (sys *System, err error) {
 	var boundary *pcie.Tracer
 	if opts.Trace != nil {
 		tracer = obs.NewTracer(opts.Trace.SpanLimit)
-		st.SetTracer(tracer)
-		// The device reports fetch/execute events by qid/cid; the Streamer
-		// owns I/O queues 1..IOQueues (see AttachStreamer below) and maps
-		// the CID — unique across its queues, it is the reorder-buffer
-		// slot — back to the command.
-		dev.SetCmdObserver(func(qid, cid uint16, stage obs.Stage, at sim.Time) {
-			if qid >= 1 && int(qid) <= st.IOQueues() {
-				st.OnDeviceEvent(cid, stage, at)
-			}
-		})
+		pl.TraceSpans(tracer)
 		if opts.Trace.Boundary {
-			boundary = attachBoundaryTracer(k, pl, st)
+			boundary = pl.TraceBoundary(st)
 		}
 	}
 	nvmes := pcie.FindByClass(pl.Fabric.Enumerate(systemBARWindow), pcie.ClassNVMe)
 	if len(nvmes) != 1 {
 		return nil, fmt.Errorf("snacc: enumeration found %d NVMe controllers, want 1", len(nvmes))
 	}
-	drv := tapasco.NewDriver(pl, nvmes[0].Name, nvmes[0].BARBase)
-	var initErr error
-	done := false
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := drv.InitController(p); err != nil {
-			initErr = err
-			return
-		}
-		if err := drv.AttachStreamer(p, st, 1); err != nil {
-			initErr = err
-			return
-		}
-		done = true
-	})
-	k.Run(0)
-	if initErr != nil {
-		return nil, initErr
-	}
-	if !done {
-		return nil, fmt.Errorf("snacc: initialization stalled")
+	if err := pl.Boot(); err != nil {
+		return nil, err
 	}
 	sys = &System{kernel: k, plat: pl, dev: dev, st: st,
 		client: streamer.NewClient(st), injector: injector,
@@ -512,68 +486,30 @@ func NewSystem(opts Options) (sys *System, err error) {
 	return sys, nil
 }
 
-// attachBoundaryTracer installs a PCIe tracer at the staging-buffer
-// boundary: the card port for the on-card variants (filtered to the payload
-// window), the host port for the host-DRAM variant — exactly where the
-// paper's §5.2 ILA sits.
-func attachBoundaryTracer(k *sim.Kernel, pl *tapasco.Platform, st *streamer.Streamer) *pcie.Tracer {
-	tr := pcie.NewTracer(k)
-	cfg := st.Config()
-	if cfg.Variant != streamer.HostDRAM {
-		base := cfg.WindowBase
-		span := uint64(cfg.ReadBufBytes + cfg.WriteBufBytes)
-		if cfg.Variant == streamer.URAM {
-			span = uint64(cfg.ReadBufBytes)
-		}
-		tr.Filter = func(addr uint64, n int64) bool {
-			return addr >= base && addr < base+span && n >= 4096
-		}
-		pl.Card.AttachTracer(tr)
-		return tr
-	}
-	hostCfg := pl.Config().Host
-	tr.Filter = func(addr uint64, n int64) bool {
-		return addr >= hostCfg.MemBase && n >= 4096
-	}
-	pl.Host.Port.AttachTracer(tr)
-	return tr
-}
-
-// applyFaultRecovery maps FaultOptions onto the Streamer's recovery knobs,
-// filling in the documented defaults.
+// applyFaultRecovery maps FaultOptions onto the Streamer's recovery knobs:
+// the reference settings of streamer.Config.ArmRecovery, overridden by
+// every knob the options set.
 func applyFaultRecovery(cfg *streamer.Config, f *FaultOptions) {
-	cfg.CmdTimeout = 50 * sim.Millisecond
+	ladder := f.wantsBreaker()
+	cfg.ArmRecovery(ladder)
 	if f.CmdTimeoutNs > 0 {
 		cfg.CmdTimeout = sim.Time(f.CmdTimeoutNs)
 	}
-	switch {
-	case f.MaxRetries < 0:
-		cfg.MaxRetries = 0
-	case f.MaxRetries == 0:
-		cfg.MaxRetries = 3
-	default:
-		cfg.MaxRetries = f.MaxRetries
+	if f.MaxRetries != 0 {
+		cfg.MaxRetries = max(f.MaxRetries, 0)
 	}
-	cfg.RetryBackoff = 10 * sim.Microsecond
 	if f.RetryBackoffNs > 0 {
 		cfg.RetryBackoff = sim.Time(f.RetryBackoffNs)
 	}
-	if !f.wantsBreaker() {
+	if !ladder {
 		return
 	}
-	cfg.BreakerThreshold = 2
 	if f.BreakerThreshold > 0 {
 		cfg.BreakerThreshold = f.BreakerThreshold
 	}
-	switch {
-	case f.MaxResets < 0:
-		cfg.MaxResets = 0
-	case f.MaxResets == 0:
-		cfg.MaxResets = 2
-	default:
-		cfg.MaxResets = f.MaxResets
+	if f.MaxResets != 0 {
+		cfg.MaxResets = max(f.MaxResets, 0)
 	}
-	cfg.CFSPollInterval = sim.Millisecond
 	if f.CrashDetectTimeoutNs > 0 {
 		cfg.CFSPollInterval = sim.Time(f.CrashDetectTimeoutNs)
 	}
