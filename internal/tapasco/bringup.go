@@ -2,6 +2,7 @@ package tapasco
 
 import (
 	"errors"
+	"fmt"
 
 	"snacc/internal/nvme"
 	"snacc/internal/obs"
@@ -51,14 +52,14 @@ func (pl *Platform) Init(p *sim.Proc) error {
 	}
 	for i, dev := range pl.ssds {
 		if err := drvs[i].InitController(p); err != nil {
-			return err
+			return fmt.Errorf("tapasco: init %s: %w", dev.Config().Name, err)
 		}
 		for _, b := range pl.binds {
 			if b.dev != dev {
 				continue
 			}
 			if err := drvs[i].AttachStreamer(p, b.st, b.qid); err != nil {
-				return err
+				return fmt.Errorf("tapasco: attach %s to %s: %w", b.st.Config().Name, dev.Config().Name, err)
 			}
 		}
 	}
