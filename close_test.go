@@ -71,6 +71,9 @@ func TestSystemCloseReleasesGoroutines(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// Let the previous subtest's stopped coroutines finish exiting
+			// before taking the baseline.
+			settle()
 			before := runtime.NumGoroutine()
 			sys := tc.run(t)
 			if runtime.NumGoroutine() <= before {
