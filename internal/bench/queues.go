@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"snacc/internal/obs"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
 )
@@ -45,11 +46,19 @@ func QueueSweep(queues, batches []int, totalBytes int64) []QueueSweepRow {
 			cfg.IOQueues = c.q
 			cfg.DoorbellBatch = c.b
 		}, nil)
+		// Retain every span: one command per 4 KiB read, plus slack.
+		tr := obs.NewTracer(int(totalBytes/queueSweepIO) + 16)
+		rig.pl.TraceSpans(tr)
 		var res streamer.PerfResult
 		rig.measure(func(p *sim.Proc) {
 			res = streamer.RandRead(p, rig.c, 64*sim.GiB, totalBytes, queueSweepIO, 42)
 		})
-		readLat, _ := rig.st.CommandLatencies()
+		var readLat sim.Histogram
+		for _, sp := range tr.Spans() {
+			if !sp.Write {
+				readLat.Add(sp.Stages[obs.StageRetired] - sp.Stages[obs.StageSubmitted])
+			}
+		}
 		row := QueueSweepRow{
 			Queues:        c.q,
 			DoorbellBatch: c.b,

@@ -262,6 +262,18 @@ func TestProtocolFaultInjection(t *testing.T) {
 	if tb.dev.Errors() != 1 {
 		t.Fatalf("device error counter = %d", tb.dev.Errors())
 	}
+	// The injected failure reaches the host-visible error-information log.
+	logBuf := tb.host.Alloc(PageSize, PageSize)
+	lcmd := Command{Opcode: OpGetLogPage, CID: 12, PRP1: logBuf,
+		CDW10: uint32(LogPageError) | uint32(64/4-1)<<16}
+	if c := tb.admin(lcmd); c.Status != StatusSuccess {
+		t.Fatalf("get log page: %#x", c.Status)
+	}
+	page := make([]byte, 64)
+	tb.host.Mem.Store().ReadBytes(logBuf-tb.host.Mem.Base, page)
+	if e := UnmarshalErrorEntry(page); e.ErrorCount != 1 || e.CID != 10 || e.Status != StatusInternalError {
+		t.Fatalf("error log entry = %+v, want count 1, CID 10, injected status", e)
+	}
 }
 
 func TestProtocolControllerReset(t *testing.T) {
@@ -327,6 +339,9 @@ func TestProtocolSMARTLogPage(t *testing.T) {
 	units := le64(page[48:56])
 	if units != 1 {
 		t.Fatalf("SMART data units written = %d, want 1", units)
+	}
+	if temp := uint16(page[1]) | uint16(page[2])<<8; temp < 280 || temp > 360 {
+		t.Fatalf("SMART temperature %d K implausible", temp)
 	}
 }
 

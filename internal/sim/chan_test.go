@@ -251,20 +251,6 @@ func TestPipeAsyncCallback(t *testing.T) {
 	}
 }
 
-func TestMeterBandwidth(t *testing.T) {
-	k := NewKernel()
-	m := NewMeter(k)
-	k.Spawn("p", func(p *Proc) {
-		m.Start()
-		p.Sleep(Second)
-		m.Add(2e9)
-	})
-	k.Run(0)
-	if got := m.GBps(); got < 1.999 || got > 2.001 {
-		t.Fatalf("GBps = %v, want 2", got)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	var h Histogram
 	for i := 1; i <= 100; i++ {

@@ -50,17 +50,6 @@ func TestKernelHorizon(t *testing.T) {
 	}
 }
 
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	k.At(1, func() { fired++; k.Stop() })
-	k.At(2, func() { fired++ })
-	k.Run(0)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt the run)", fired)
-	}
-}
-
 func TestProcSleepAdvancesTime(t *testing.T) {
 	k := NewKernel()
 	var woke Time

@@ -60,27 +60,6 @@ func TestHistogramStddevAndString(t *testing.T) {
 	}
 }
 
-func TestMeterBytesAndUnits(t *testing.T) {
-	k := NewKernel()
-	m := NewMeter(k)
-	m.Add(999) // before Start: ignored
-	m.Start()
-	k.Spawn("p", func(p *Proc) {
-		p.Sleep(Second)
-		m.Add(3e9)
-	})
-	k.Run(0)
-	if m.Bytes() != 3e9 {
-		t.Fatalf("Bytes = %d (pre-Start adds must not count)", m.Bytes())
-	}
-	if g := m.GBps(); math.Abs(g-3) > 1e-9 {
-		t.Fatalf("GBps = %v, want 3", g)
-	}
-	if g := ToGBps(5e9); math.Abs(g-5) > 1e-9 {
-		t.Fatalf("ToGBps = %v", g)
-	}
-}
-
 func TestTimeSeconds(t *testing.T) {
 	if s := (2500 * Millisecond).Seconds(); math.Abs(s-2.5) > 1e-12 {
 		t.Fatalf("Seconds = %v, want 2.5", s)

@@ -328,24 +328,3 @@ func le32b(v uint32) []byte {
 }
 
 func hostMemBase(h *pcie.Host) uint64 { return h.Mem.Base }
-
-// Detach tears the controller down cleanly: delete the I/O queues (SQ
-// before CQ, per spec), then disable the controller.
-func (d *Driver) Detach(p *sim.Proc) error {
-	for _, q := range d.ioQs {
-		if _, err := d.adminCmd(p, nvme.Command{Opcode: nvme.OpDeleteIOSQ, CDW10: uint32(q.id)}); err != nil {
-			return err
-		}
-	}
-	d.ioQs = nil
-	d.regWrite32(p, nvme.RegCC, 0)
-	for i := 0; i < 1000; i++ {
-		buf := make([]byte, 4)
-		d.regRead(p, nvme.RegCSTS, buf)
-		if le32(buf)&nvme.CSTSReady == 0 {
-			return nil
-		}
-		p.Sleep(10 * sim.Microsecond)
-	}
-	return fmt.Errorf("spdk: controller never cleared ready on disable")
-}

@@ -243,109 +243,3 @@ func TestMultipleQueuePairs(t *testing.T) {
 		t.Fatalf("device errors: %d", dev.Errors())
 	}
 }
-
-func TestReadSMARTThroughDriver(t *testing.T) {
-	k, host, _ := rig(false)
-	k.Spawn("t", func(p *sim.Proc) {
-		d, err := Attach(p, host, testBAR, DefaultDriverConfig())
-		if err != nil {
-			t.Errorf("Attach: %v", err)
-			return
-		}
-		buf := d.AllocBuffer(sim.MiB)
-		if err := d.Write(p, 0, 2048, buf, nil); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		sm, err := d.ReadSMART(p)
-		if err != nil {
-			t.Errorf("ReadSMART: %v", err)
-			return
-		}
-		if sm.HostWrites != 1 {
-			t.Errorf("HostWrites = %d, want 1", sm.HostWrites)
-		}
-		if sm.DataUnitsWritten == 0 {
-			t.Error("DataUnitsWritten = 0")
-		}
-		if sm.TemperatureK < 280 || sm.TemperatureK > 360 {
-			t.Errorf("temperature %d K implausible", sm.TemperatureK)
-		}
-	})
-	k.Run(0)
-}
-
-func TestWriteZeroesAndTrim(t *testing.T) {
-	k, host, dev := rig(true)
-	cfg := DefaultDriverConfig()
-	cfg.Functional = true
-	k.Spawn("t", func(p *sim.Proc) {
-		d, err := Attach(p, host, testBAR, cfg)
-		if err != nil {
-			t.Errorf("Attach: %v", err)
-			return
-		}
-		buf := d.AllocBuffer(4096)
-		data := bytes.Repeat([]byte{0xCD}, 4096)
-		if err := d.Write(p, 0, 8, buf, data); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := d.WriteZeroes(p, 0, 4); err != nil {
-			t.Errorf("write zeroes: %v", err)
-		}
-		got := make([]byte, 4096)
-		if err := d.Read(p, 0, 8, buf, got); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		if got[0] != 0 || got[2047] != 0 {
-			t.Error("zeroed range not zero")
-		}
-		if got[2048] != 0xCD {
-			t.Error("data beyond zeroed range clobbered")
-		}
-		if err := d.Trim(p, []nvme.DSMRange{{SLBA: 4, NLB: 4}}); err != nil {
-			t.Errorf("trim: %v", err)
-		}
-		if err := d.Read(p, 0, 8, buf, got); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		if got[2048] != 0 {
-			t.Error("trimmed range still holds data")
-		}
-	})
-	k.Run(0)
-	if dev.Errors() != 0 {
-		t.Fatalf("device errors: %d", dev.Errors())
-	}
-}
-
-func TestDetachAndReattach(t *testing.T) {
-	k, host, dev := rig(false)
-	k.Spawn("t", func(p *sim.Proc) {
-		d, err := Attach(p, host, testBAR, DefaultDriverConfig())
-		if err != nil {
-			t.Errorf("attach: %v", err)
-			return
-		}
-		buf := d.AllocBuffer(4096)
-		if err := d.Write(p, 0, 8, buf, nil); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := d.Detach(p); err != nil {
-			t.Errorf("detach: %v", err)
-			return
-		}
-		// A fresh attach must bring the controller back.
-		d2, err := Attach(p, host, testBAR, DefaultDriverConfig())
-		if err != nil {
-			t.Errorf("re-attach: %v", err)
-			return
-		}
-		if err := d2.Write(p, 8, 8, buf, nil); err != nil {
-			t.Errorf("write after re-attach: %v", err)
-		}
-	})
-	k.Run(0)
-	if dev.Errors() != 0 {
-		t.Fatalf("device errors: %d", dev.Errors())
-	}
-}

@@ -335,25 +335,27 @@ func TestSeparateBuffersForDRAMVariant(t *testing.T) {
 }
 
 func TestCommandLatencyHistograms(t *testing.T) {
-	k, c, _ := rig(t, streamer.URAM, false, nil)
+	k, c, _, tr := tracedRig(t, streamer.URAM, nil)
 	k.Spawn("pe", func(p *sim.Proc) {
 		mustWrite(t, p, c, 0, 64*1024, nil)
 		c.ReadAsync(p, 0, 0, 64*1024)
 		c.ReadDone(p, 0)
 	})
 	k.Run(0)
-	rd, wr := c.Streamer().CommandLatencies()
-	if rd.Count() != 1 || wr.Count() != 1 {
-		t.Fatalf("latency samples: %d reads, %d writes", rd.Count(), wr.Count())
+	spans := tr.Spans()
+	if len(spans) != 2 || !spans[0].Write || spans[1].Write {
+		t.Fatalf("spans: %+v, want one write then one read", spans)
 	}
+	lat := func(sp obs.Span) sim.Time { return sp.Stages[obs.StageRetired] - sp.Stages[obs.StageSubmitted] }
+	wr, rd := lat(spans[0]), lat(spans[1])
 	// The NVMe read must include a NAND tR (>15us); the 64 KiB write
 	// completes in the SSD buffer after its P2P fetch — faster than the
 	// read, but not free.
-	if rd.Mean() < 15*sim.Microsecond {
-		t.Errorf("read command latency %v below NAND tR", rd.Mean())
+	if rd < 15*sim.Microsecond {
+		t.Errorf("read command latency %v below NAND tR", rd)
 	}
-	if wr.Mean() >= rd.Mean() {
-		t.Errorf("write latency %v should undercut read latency %v (no tR)", wr.Mean(), rd.Mean())
+	if wr <= 0 || wr >= rd {
+		t.Errorf("write latency %v should undercut read latency %v (no tR)", wr, rd)
 	}
 }
 

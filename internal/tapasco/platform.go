@@ -1,9 +1,10 @@
 // Package tapasco models the slice of the TaPaSCo framework SNAcc builds
-// on (§2.1, §4.5, §4.6): the platform assembly that attaches the FPGA card
-// to the PCIe fabric, carves BAR windows for plugins such as the NVMe
-// Streamer, reserves card-DRAM regions behind the single memory controller,
-// and the host-side driver that initializes the NVMe controller and wires
-// its queues to the Streamer.
+// on (§4.5, §4.6): the platform assembly that attaches the FPGA card to the
+// PCIe fabric, carves BAR windows for plugins such as the NVMe Streamer,
+// reserves card-DRAM regions behind the single memory controller, and the
+// host-side driver that initializes (and resets) the NVMe controller and
+// wires its queues to the Streamer. TaPaSCo's PE composition, interrupt
+// controller and DMA runtime are not modeled: no SNAcc rig uses them.
 package tapasco
 
 import (
@@ -76,12 +77,6 @@ type Platform struct {
 	cfg     PlatformConfig
 	barBrk  uint64
 	dramBrk uint64
-
-	// PE composition (pe.go), DMA engine and interrupt plumbing.
-	slots    map[uint32][]*peSlot
-	allSlots []*peSlot
-	dma      *DMAEngine
-	msiBase  uint64
 
 	// Bring-up inventory (bringup.go): SSDs in the order added, and the
 	// Streamer bound to each queue range.

@@ -271,3 +271,12 @@ func TestTwoStreamersOneSSD(t *testing.T) {
 		t.Fatal("two-streamer run did not complete")
 	}
 }
+
+func TestPlatformConfigAccessor(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultXUPVVH()
+	pl := NewPlatform(k, cfg)
+	if pl.Config().CardName != cfg.CardName {
+		t.Fatal("Config accessor returned wrong config")
+	}
+}
