@@ -102,6 +102,40 @@ func runClusterIntegrity(t *testing.T, replication int) {
 	}
 }
 
+// TestClusterStatsSumNodes: the facade Stats in cluster mode sums every
+// node's doorbell, CQ-batch, span and fault counters, not only the command
+// and byte counters.
+func TestClusterStatsSumNodes(t *testing.T) {
+	sys := MustNewSystem(Options{
+		Seed:          3,
+		DoorbellBatch: 4,
+		Trace:         &TraceOptions{SpanLimit: 1 << 10},
+		Cluster: &ClusterOptions{Nodes: 3, Replication: 2, Quorum: 2,
+			NodeFaults: map[int]*FaultOptions{1: {WriteErrorRate: 0.5}}},
+	})
+	defer sys.Close()
+	sys.Execute(func(h *Handle) {
+		for i := 0; i < 8; i++ {
+			if err := h.WriteTimed(uint64(i)*(64<<10), 64<<10); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+		}
+	})
+	st := sys.Stats()
+	if st.CommandsSubmitted == 0 || st.DoorbellWrites == 0 || st.CQBatches == 0 {
+		t.Errorf("commands %d, doorbells %d, CQ batches %d: want all > 0",
+			st.CommandsSubmitted, st.DoorbellWrites, st.CQBatches)
+	}
+	spans := int64(len(sys.Spans()))
+	if spans == 0 || st.SpansOpened != spans || st.SpansClosed != spans {
+		t.Errorf("spans opened %d closed %d, Spans() holds %d", st.SpansOpened, st.SpansClosed, spans)
+	}
+	if st.FaultsInjected == 0 || st.FaultsInjected != st.CommandRetries+st.CommandAborts {
+		t.Errorf("faults injected %d, want > 0 and = retries %d + aborts %d",
+			st.FaultsInjected, st.CommandRetries, st.CommandAborts)
+	}
+}
+
 // TestClusterAppliesStreamerOptions: the submission-path options NewSystem
 // validates reach every node's Streamer in cluster mode, and a round trip
 // through the multi-queue, batched, out-of-order nodes stays byte-exact.

@@ -375,17 +375,19 @@ func (f *FaultOptions) wantsBreaker() bool {
 // I/O queues created inside the Streamer window, IOMMU granted, doorbells
 // programmed).
 type System struct {
-	kernel   *sim.Kernel
-	plat     *tapasco.Platform
-	dev      *nvme.Device
-	st       *streamer.Streamer
-	client   *streamer.Client
-	injector *fault.Injector     // nil unless Options.Faults was set
-	tracer   *obs.Tracer         // nil unless Options.Trace was set
-	boundary *pcie.Tracer        // nil unless Options.Trace.Boundary was set
-	hub      *streamer.TenantHub // nil unless Options.Tenants was set
-	cluster  *cluster.Cluster    // nil unless Options.Cluster was set
-	serve    *serve.Tier         // nil unless Options.Serve was set
+	kernel *sim.Kernel
+	plat   *tapasco.Platform
+	dev    *nvme.Device
+	st     *streamer.Streamer
+	client *streamer.Client
+	// injectors holds the Options.Faults injector, or in cluster mode one
+	// per node with ClusterOptions.NodeFaults; empty without faults.
+	injectors []*fault.Injector
+	tracer    *obs.Tracer         // nil unless Options.Trace was set
+	boundary  *pcie.Tracer        // nil unless Options.Trace.Boundary was set
+	hub       *streamer.TenantHub // nil unless Options.Tenants was set
+	cluster   *cluster.Cluster    // nil unless Options.Cluster was set
+	serve     *serve.Tier         // nil unless Options.Serve was set
 }
 
 // systemBARWindow is where enumeration places discovered device BARs.
@@ -440,10 +442,11 @@ func NewSystem(opts Options) (sys *System, err error) {
 	}
 	st := pl.AddStreamer(stCfg)
 	pl.Bind(dev, st)
-	var injector *fault.Injector
+	var injectors []*fault.Injector
 	if opts.Faults != nil {
-		injector = buildInjector(opts.Faults)
-		injector.Attach(dev)
+		in := buildInjector(opts.Faults)
+		in.Attach(dev)
+		injectors = append(injectors, in)
 	}
 	var tracer *obs.Tracer
 	var boundary *pcie.Tracer
@@ -462,7 +465,7 @@ func NewSystem(opts Options) (sys *System, err error) {
 		return nil, err
 	}
 	sys = &System{kernel: k, plat: pl, dev: dev, st: st,
-		client: streamer.NewClient(st), injector: injector,
+		client: streamer.NewClient(st), injectors: injectors,
 		tracer: tracer, boundary: boundary}
 	if len(opts.Tenants) > 0 {
 		hub, err := streamer.NewTenantHub(k, st, opts.Tenants, streamer.HubOptions{})
@@ -588,13 +591,16 @@ func newClusterSystem(opts Options, functional bool) (*System, error) {
 		ccfg.SpanLimit = opts.Trace.SpanLimit
 	}
 	faults := co.NodeFaults
+	var injectors []*fault.Injector
 	if len(faults) > 0 {
 		ccfg.NodeInjector = func(node int) *fault.Injector {
 			f := faults[node]
 			if f == nil {
 				return nil
 			}
-			return buildInjector(f)
+			in := buildInjector(f)
+			injectors = append(injectors, in)
+			return in
 		}
 	}
 	ccfg.StreamerTune = func(node int, cfg *streamer.Config) {
@@ -623,7 +629,7 @@ func newClusterSystem(opts Options, functional bool) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{cluster: cl}, nil
+	return &System{cluster: cl, injectors: injectors}, nil
 }
 
 // MustNewSystem is NewSystem, panicking on error (examples, tests).
@@ -806,7 +812,11 @@ func (s *System) CommandLatency(write bool) *LatencyHist { return s.tracer.E2E(w
 // unless Options.Trace.Boundary was set.
 func (s *System) BoundaryTrace() *pcie.Tracer { return s.boundary }
 
-// Stats is a snapshot of system counters.
+// Stats is a snapshot of system counters. In cluster mode the Streamer,
+// span and fault counters are summed over the nodes and ControllerDead is
+// set when any node's controller is dead; the PCIe byte counters
+// (PCIeCardRx, PCIeSSDRx, PCIeHostRx) stay zero and IOQueueDepthPeak stays
+// nil there.
 type Stats struct {
 	// Commands submitted/retired by the Streamer and errors seen.
 	CommandsSubmitted int64
@@ -818,7 +828,8 @@ type Stats struct {
 	CommandTimeouts int64
 	CommandAborts   int64
 	ProtocolErrors  int64
-	// FaultsInjected counts injector firings (0 without Options.Faults).
+	// FaultsInjected counts injector firings (0 without Options.Faults or
+	// ClusterOptions.NodeFaults).
 	FaultsInjected int64
 	// Crash-recovery ladder accounting: breaker trips, controller resets
 	// issued, in-flight commands replayed after a reset, cumulative
@@ -912,7 +923,8 @@ func (s *System) Stats() Stats {
 }
 
 // clusterStats maps the cluster's counters onto the system snapshot,
-// summing the per-node Streamer counters into the shared fields.
+// summing the per-node Streamer, tracer and injector counters into the
+// shared fields.
 func (s *System) clusterStats() Stats {
 	cs := s.cluster.Stats()
 	out := Stats{
@@ -925,6 +937,7 @@ func (s *System) clusterStats() Stats {
 		DeadNodes:             cs.DeadNodes,
 		SimTime:               cs.SimTime,
 		SimEvents:             cs.SimEvents,
+		FaultsInjected:        s.FaultsInjected(),
 	}
 	for i := 0; i < s.cluster.Nodes(); i++ {
 		st := s.cluster.Node(i)
@@ -939,8 +952,15 @@ func (s *System) clusterStats() Stats {
 		out.ControllerResets += st.ControllerResets()
 		out.CommandsReplayed += st.CommandsReplayed()
 		out.RecoveryTimeNs += int64(st.RecoveryTime())
+		out.DoorbellWrites += st.DoorbellWrites()
+		out.CQBatches += st.CQBatches()
 		out.BytesToPE += st.BytesToPE()
 		out.BytesFromPE += st.BytesFromPE()
+		tr := st.Tracer()
+		out.SpansOpened += tr.Opened()
+		out.SpansClosed += tr.Closed()
+		out.SpansDropped += tr.Dropped()
+		out.TraceLateEvents += tr.LateEvents()
 		if st.Dead() {
 			out.ControllerDead = true
 		}
@@ -975,13 +995,15 @@ func (s *System) TenantWriteLatency(i int) LatencyHist {
 	return s.hub.WriteLatency(i)
 }
 
-// FaultsInjected returns the number of faults the injector has fired, or 0
-// when the system was built without Options.Faults.
+// FaultsInjected returns the number of faults the injectors have fired (in
+// cluster mode, summed over the nodes' injectors), or 0 when the system was
+// built without Options.Faults or ClusterOptions.NodeFaults.
 func (s *System) FaultsInjected() int64 {
-	if s.injector == nil {
-		return 0
+	var n int64
+	for _, in := range s.injectors {
+		n += in.Injected()
 	}
-	return s.injector.Injected()
+	return n
 }
 
 // Capacity returns the simulated SSD capacity in bytes (in cluster mode,
