@@ -110,9 +110,6 @@ func (r *byteRing) free() {
 	}
 }
 
-// liveBytes reports current occupancy (incl. padding).
-func (r *byteRing) liveBytes() int64 { return r.live }
-
 // slotPool is the fixed-slot allocator the out-of-order variant uses:
 // buffers free in completion order, so equal-size slots replace the FIFO
 // ring.
