@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke cover latency faults crash queues perfreport tenants cluster serve
+.PHONY: build test race vet bench bench-smoke bench-check cover latency faults crash queues perfreport tenants cluster serve
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,21 @@ bench:
 # real measurement run. Wired into `make test`.
 bench-smoke: vet
 	$(GO) test -race -run XXX -bench 'BenchmarkKernel' -benchtime 1x -benchmem ./internal/sim/
+
+# Regenerates the deterministic BENCH files with one snaccbench build in a
+# temporary directory and compares each byte for byte with the committed
+# copy; a refactor that moves any modeled number fails here. `make test`
+# leaves it out: it rebuilds and reruns six sweeps.
+bench-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/snaccbench" ./cmd/snaccbench && \
+	for run in "crash -crash" "latency -latency" "queues -queues 1,2,4,8" \
+		"tenants -tenants" "serve -serve" "cluster -cluster"; do \
+		set -- $$run; name=$$1; shift; \
+		echo "snaccbench $$*"; \
+		(cd "$$tmp" && ./snaccbench "$$@" > /dev/null) || exit 1; \
+		cmp "$$tmp/BENCH_$$name.json" "BENCH_$$name.json" || exit 1; \
+	done; echo "bench-check: every BENCH file matches"
 
 # Fault-injection suite: recovery unit tests, accounting invariants, and the
 # goodput-vs-error-rate sweep.

@@ -103,8 +103,8 @@ func runClusterIntegrity(t *testing.T, replication int) {
 }
 
 // TestClusterStatsSumNodes: the facade Stats in cluster mode sums every
-// node's doorbell, CQ-batch, span and fault counters, not only the command
-// and byte counters.
+// node's doorbell, CQ-batch, span, fault and PCIe counters, not only the
+// command and byte counters.
 func TestClusterStatsSumNodes(t *testing.T) {
 	sys := MustNewSystem(Options{
 		Seed:          3,
@@ -133,6 +133,18 @@ func TestClusterStatsSumNodes(t *testing.T) {
 	if st.FaultsInjected == 0 || st.FaultsInjected != st.CommandRetries+st.CommandAborts {
 		t.Errorf("faults injected %d, want > 0 and = retries %d + aborts %d",
 			st.FaultsInjected, st.CommandRetries, st.CommandAborts)
+	}
+	var card, ssd, host int64
+	for i := 0; i < sys.cluster.Nodes(); i++ {
+		pl := sys.cluster.Platform(i)
+		card += pl.Card.PayloadRx()
+		ssd += pl.Counters().PCIeSSDRx
+		host += pl.Host.Port.PayloadRx()
+	}
+	if card == 0 || ssd == 0 || host == 0 ||
+		st.PCIeCardRx != card || st.PCIeSSDRx != ssd || st.PCIeHostRx != host {
+		t.Errorf("PCIe card/SSD/host rx %d/%d/%d, want the node sums %d/%d/%d, all > 0",
+			st.PCIeCardRx, st.PCIeSSDRx, st.PCIeHostRx, card, ssd, host)
 	}
 }
 

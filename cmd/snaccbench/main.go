@@ -253,11 +253,7 @@ func main() {
 			if *crash {
 				pts := bench.CrashTimeline(16, size/4, 2*sim.Millisecond)
 				fmt.Println(bench.RenderTimeline("URAM, crash every 16 commands", pts, 8))
-				if err := os.WriteFile("BENCH_crash.json", []byte(table.JSON()+"\n"), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Println("wrote BENCH_crash.json")
+				writeBench("BENCH_crash.json", table)
 			}
 		})
 	}
@@ -270,11 +266,7 @@ func main() {
 			table := bench.RenderQueueSweep(bench.QueueSweep(counts, []int{1, 8}, size/4))
 			show(table)
 			if *queuesArg != "" {
-				if err := os.WriteFile("BENCH_queues.json", []byte(table.JSON()+"\n"), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Println("wrote BENCH_queues.json")
+				writeBench("BENCH_queues.json", table)
 			}
 		})
 	}
@@ -283,11 +275,7 @@ func main() {
 			table := bench.RenderTenantSweep(bench.TenantSweep(0, 0))
 			show(table)
 			if *tenants {
-				if err := os.WriteFile("BENCH_tenants.json", []byte(table.JSON()+"\n"), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Println("wrote BENCH_tenants.json")
+				writeBench("BENCH_tenants.json", table)
 			}
 		})
 	}
@@ -296,11 +284,7 @@ func main() {
 			table := bench.RenderServeSweep(bench.ServeSweep(serveClientList, 0, servePhaseList))
 			show(table)
 			if *serveRun {
-				if err := os.WriteFile("BENCH_serve.json", []byte(table.JSON()+"\n"), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Println("wrote BENCH_serve.json")
+				writeBench("BENCH_serve.json", table)
 			}
 		})
 	}
@@ -312,11 +296,7 @@ func main() {
 				pts, st := bench.ClusterTimeline(24*sim.Millisecond, 2*sim.Millisecond)
 				fmt.Println(bench.RenderTimeline("3-node R=2 cluster, node 1 partitioned for a quarter of the run", pts, 8))
 				show(bench.RenderClusterRecovery(st))
-				if err := os.WriteFile("BENCH_cluster.json", []byte(table.JSON()+"\n"), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Println("wrote BENCH_cluster.json")
+				writeBench("BENCH_cluster.json", table)
 			}
 		})
 	}
@@ -325,11 +305,7 @@ func main() {
 			table := bench.RenderLatencyBreakdown(bench.LatencyBreakdown(size / 4))
 			show(table)
 			if *latency {
-				if err := os.WriteFile("BENCH_latency.json", []byte(table.JSON()+"\n"), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Println("wrote BENCH_latency.json")
+				writeBench("BENCH_latency.json", table)
 			}
 		})
 	}
@@ -362,4 +338,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// writeBench writes table as JSON to file and reports it, exiting with
+// status 1 when the write fails.
+func writeBench(file string, table bench.Table) {
+	if err := os.WriteFile(file, []byte(table.JSON()+"\n"), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Println("wrote " + file)
 }

@@ -52,19 +52,20 @@ func CrashSweep(everyN []int64, totalBytes int64) []CrashSweepRow {
 		}
 		in.Attach(rig.dev)
 		res := faultSeqRead(rig, 0, totalBytes)
+		ctr := rig.st.Counters()
 		mttr := 0.0
-		if trips := rig.st.BreakerTrips(); trips > 0 {
-			mttr = float64(rig.st.RecoveryTime()) / float64(trips) / 1e3
+		if ctr.BreakerTrips > 0 {
+			mttr = float64(ctr.RecoveryTimeNs) / float64(ctr.BreakerTrips) / 1e3
 		}
 		return CrashSweepRow{
 			CrashEveryN: n,
 			GoodputGB:   res.GBps(),
 			Crashes:     rig.dev.ControllerCrashes(),
-			Trips:       rig.st.BreakerTrips(),
-			Resets:      rig.st.ControllerResets(),
-			Replayed:    rig.st.CommandsReplayed(),
+			Trips:       ctr.BreakerTrips,
+			Resets:      ctr.ControllerResets,
+			Replayed:    ctr.CommandsReplayed,
 			MTTRUs:      mttr,
-			Aborts:      rig.st.CommandAborts(),
+			Aborts:      ctr.CommandAborts,
 		}
 	})
 }

@@ -48,18 +48,19 @@ func FaultSweep(ratesPct []float64, totalBytes int64) []FaultSweepRow {
 		}
 		in.Attach(rig.dev)
 		res := faultSeqRead(rig, 0, totalBytes)
+		ctr := rig.st.Counters()
 		amp := 1.0
-		if rt := rig.st.CommandsRetired(); rt > 0 {
-			amp = float64(rig.st.CommandsSubmitted()) / float64(rt)
+		if ctr.CommandsRetired > 0 {
+			amp = float64(ctr.CommandsSubmitted) / float64(ctr.CommandsRetired)
 		}
 		return FaultSweepRow{
 			RatePct:       rate,
 			GoodputGB:     res.GBps(),
 			Injected:      in.Injected(),
-			Errors:        rig.st.CommandErrors(),
-			Retries:       rig.st.CommandRetries(),
-			Timeouts:      rig.st.CommandTimeouts(),
-			Aborts:        rig.st.CommandAborts(),
+			Errors:        ctr.CommandErrors,
+			Retries:       ctr.CommandRetries,
+			Timeouts:      ctr.CommandTimeouts,
+			Aborts:        ctr.CommandAborts,
 			Amplification: amp,
 		}
 	})

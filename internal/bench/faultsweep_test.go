@@ -44,24 +44,24 @@ func TestStatusFaultAccountingInvariant(t *testing.T) {
 	if in.Injected() == 0 {
 		t.Fatal("1% rate over the seeded workload injected nothing; grow the transfer")
 	}
-	if st.CommandErrors() != in.Injected() {
+	if st.Counters().CommandErrors != in.Injected() {
 		t.Errorf("error CQEs observed = %d, injected = %d; errors were swallowed",
-			st.CommandErrors(), in.Injected())
+			st.Counters().CommandErrors, in.Injected())
 	}
-	if got := st.CommandRetries() + st.CommandAborts(); got != in.Injected() {
+	if got := st.Counters().CommandRetries + st.Counters().CommandAborts; got != in.Injected() {
 		t.Errorf("retried+aborted = %d+%d = %d, want every injected fault (%d) dispositioned",
-			st.CommandRetries(), st.CommandAborts(), got, in.Injected())
+			st.Counters().CommandRetries, st.Counters().CommandAborts, got, in.Injected())
 	}
-	if st.CommandTimeouts() != 0 || st.ProtocolErrors() != 0 {
+	if st.Counters().CommandTimeouts != 0 || st.Counters().ProtocolErrors != 0 {
 		t.Errorf("status faults produced timeouts=%d protocolErrors=%d, want 0/0",
-			st.CommandTimeouts(), st.ProtocolErrors())
+			st.Counters().CommandTimeouts, st.Counters().ProtocolErrors)
 	}
 	if res.Bytes > total {
 		t.Errorf("delivered %d bytes of a %d-byte read", res.Bytes, total)
 	}
-	if (st.CommandAborts() == 0) != (res.Bytes == total) {
+	if (st.Counters().CommandAborts == 0) != (res.Bytes == total) {
 		t.Errorf("aborts=%d but delivered %d/%d bytes; aborted pieces must (only) account for the shortfall",
-			st.CommandAborts(), res.Bytes, total)
+			st.Counters().CommandAborts, res.Bytes, total)
 	}
 }
 
@@ -81,18 +81,18 @@ func TestDropFaultAccountingInvariant(t *testing.T) {
 	if in.Injected() == 0 {
 		t.Fatal("Nth:16 drop rule fired nothing over a 64-command read")
 	}
-	if st.CommandTimeouts() != in.Injected() {
+	if st.Counters().CommandTimeouts != in.Injected() {
 		t.Errorf("timeouts = %d, dropped CQEs = %d; a lost completion went unnoticed",
-			st.CommandTimeouts(), in.Injected())
+			st.Counters().CommandTimeouts, in.Injected())
 	}
-	if got := st.CommandRetries() + st.CommandAborts(); got != st.CommandTimeouts() {
+	if got := st.Counters().CommandRetries + st.Counters().CommandAborts; got != st.Counters().CommandTimeouts {
 		t.Errorf("retried+aborted = %d, want every timeout (%d) dispositioned",
-			got, st.CommandTimeouts())
+			got, st.Counters().CommandTimeouts)
 	}
-	if st.CommandErrors() != 0 {
-		t.Errorf("drops produced %d error CQEs, want 0", st.CommandErrors())
+	if st.Counters().CommandErrors != 0 {
+		t.Errorf("drops produced %d error CQEs, want 0", st.Counters().CommandErrors)
 	}
-	if st.CommandAborts() == 0 && res.Bytes != total {
+	if st.Counters().CommandAborts == 0 && res.Bytes != total {
 		t.Errorf("no aborts yet delivered only %d/%d bytes", res.Bytes, total)
 	}
 }

@@ -67,8 +67,8 @@ func QueueSweep(queues, batches []int, totalBytes int64) []QueueSweepRow {
 		if res.Elapsed > 0 {
 			row.KIOPS = float64(res.Bytes/queueSweepIO) / res.Elapsed.Seconds() / 1e3
 		}
-		if submitted := rig.st.CommandsSubmitted(); submitted > 0 {
-			row.DoorbellRatio = float64(rig.st.DoorbellWrites()) / float64(submitted)
+		if ctr := rig.st.Counters(); ctr.CommandsSubmitted > 0 {
+			row.DoorbellRatio = float64(ctr.DoorbellWrites) / float64(ctr.CommandsSubmitted)
 		}
 		return row
 	})

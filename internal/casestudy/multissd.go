@@ -88,9 +88,7 @@ func RunSNAccStriped(n int, cfg Config) Result {
 		ports[fmt.Sprintf("ssd%d", i)] = d.Port()
 		res.Errors += d.Errors()
 	}
-	for _, st := range sts {
-		res.Errors += st.CommandErrors()
-	}
+	res.Errors += pl.Counters().CommandErrors
 	collectPCIe(&res, ports)
 	return res
 }

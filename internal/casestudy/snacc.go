@@ -98,7 +98,7 @@ func runSNAccInner(v streamer.Variant, cfg Config, devHook func(*nvme.Device)) (
 		ImageLatency:   lat,
 		EthernetPauses: fe.tx.PausesHonored(),
 		FramesDropped:  fe.rx.FramesDropped(),
-		Errors:         dev.Errors() + st.CommandErrors(),
+		Errors:         dev.Errors() + pl.Counters().CommandErrors,
 	}
 	collectPCIe(&res, map[string]*pcie.Port{
 		"card": pl.Card,

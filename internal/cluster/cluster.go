@@ -26,6 +26,7 @@ import (
 	"snacc/internal/obs"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
+	"snacc/internal/tapasco"
 )
 
 // nodeBAR is where each node's private fabric places its SSD register BAR
@@ -277,6 +278,19 @@ func (cl *Cluster) Nodes() int { return len(cl.nodes) }
 
 // Node returns node i's streamer (test instrumentation).
 func (cl *Cluster) Node(i int) *streamer.Streamer { return cl.nodes[i].st }
+
+// Platform returns node i's platform (test instrumentation).
+func (cl *Cluster) Platform(i int) *tapasco.Platform { return cl.nodes[i].pl }
+
+// Counters sums the nodes' platform counter snapshots. Call between
+// Execute runs, not from inside one.
+func (cl *Cluster) Counters() tapasco.Counters {
+	var c tapasco.Counters
+	for _, n := range cl.nodes {
+		c.Add(n.pl.Counters())
+	}
+	return c
+}
 
 // Spans returns the completed spans of every node tracer, grouped in node
 // order, each span carrying its node identity (nil without TraceSpans).

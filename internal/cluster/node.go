@@ -22,6 +22,7 @@ type node struct {
 	id  int
 	k   *sim.Kernel
 	mac *ethernet.MAC
+	pl  *tapasco.Platform
 	dev *nvme.Device
 	st  *streamer.Streamer
 	c   *streamer.Client
@@ -39,8 +40,8 @@ var errInitStalled = errors.New("initialization stalled")
 // newNode assembles node id on the cluster kernel and spawns its init
 // process (drained by New before traffic starts).
 func newNode(cfg Config, ecfg ethernet.Config, id int, k *sim.Kernel) *node {
-	n := &node{id: id, k: k, initErr: errInitStalled}
 	pl := tapasco.NewPlatform(k, tapasco.DefaultU280())
+	n := &node{id: id, k: k, pl: pl, initErr: errInitStalled}
 	devCfg := nvme.DefaultConfig(fmt.Sprintf("ssd%d", id), nodeBAR)
 	devCfg.Functional = cfg.Functional
 	if cfg.Seed != 0 {

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"snacc/internal/pcie"
@@ -73,15 +74,6 @@ func (tb *testbench) reap(head *int, phase *bool, cq uint64) {
 	}
 }
 
-func le32b(v uint32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)} }
-func le64b(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	return b
-}
-
 // enable runs the register-level bring-up. Queue memory is zeroed first,
 // as a real driver must: stale completion entries from a previous life
 // would alias the fresh phase.
@@ -90,10 +82,10 @@ func (tb *testbench) enable() {
 	zero := make([]byte, tbDepth*CQESize)
 	h.Mem.Store().WriteBytes(tb.acq-h.Mem.Base, zero)
 	h.Mem.Store().WriteBytes(tb.ioCQ-h.Mem.Base, zero)
-	h.Port.Write(tb.bar+RegAQA, 4, le32b(uint32(tbDepth-1)|uint32(tbDepth-1)<<16), nil)
-	h.Port.Write(tb.bar+RegASQ, 8, le64b(tb.asq), nil)
-	h.Port.Write(tb.bar+RegACQ, 8, le64b(tb.acq), nil)
-	h.Port.Write(tb.bar+RegCC, 4, le32b(CCEnable), nil)
+	h.Port.Write(tb.bar+RegAQA, 4, binary.LittleEndian.AppendUint32(nil, uint32(tbDepth-1)|uint32(tbDepth-1)<<16), nil)
+	h.Port.Write(tb.bar+RegASQ, 8, binary.LittleEndian.AppendUint64(nil, tb.asq), nil)
+	h.Port.Write(tb.bar+RegACQ, 8, binary.LittleEndian.AppendUint64(nil, tb.acq), nil)
+	h.Port.Write(tb.bar+RegCC, 4, binary.LittleEndian.AppendUint32(nil, CCEnable), nil)
 	tb.k.Run(0)
 }
 
@@ -102,7 +94,7 @@ func (tb *testbench) admin(cmd Command) Completion {
 	tb.host.Mem.Store().WriteBytes(tb.asq-tb.host.Mem.Base+uint64(tb.aTail*SQESize), cmd.Marshal())
 	tb.aTail = (tb.aTail + 1) % tbDepth
 	before := len(tb.completions)
-	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, le32b(uint32(tb.aTail)), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase, 4, binary.LittleEndian.AppendUint32(nil, uint32(tb.aTail)), nil)
 	tb.k.Run(0)
 	if len(tb.completions) <= before {
 		tb.t.Fatalf("admin command %#x produced no completion", cmd.Opcode)
@@ -127,7 +119,7 @@ func (tb *testbench) io(cmd Command) Completion {
 	tb.host.Mem.Store().WriteBytes(tb.ioSQ-tb.host.Mem.Base+uint64(tb.ioTail*SQESize), cmd.Marshal())
 	tb.ioTail = (tb.ioTail + 1) % tbDepth
 	before := len(tb.completions)
-	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, le32b(uint32(tb.ioTail)), nil)
+	tb.host.Port.Write(tb.bar+RegDoorbellBase+8, 4, binary.LittleEndian.AppendUint32(nil, uint32(tb.ioTail)), nil)
 	tb.k.Run(0)
 	if len(tb.completions) <= before {
 		tb.t.Fatalf("I/O command %#x produced no completion", cmd.Opcode)
@@ -281,7 +273,7 @@ func TestProtocolControllerReset(t *testing.T) {
 	tb.enable()
 	tb.createIOQueues()
 	// CC.EN = 0 tears down all queues.
-	tb.host.Port.Write(tb.bar+RegCC, 4, le32b(0), nil)
+	tb.host.Port.Write(tb.bar+RegCC, 4, binary.LittleEndian.AppendUint32(nil, 0), nil)
 	tb.k.Run(0)
 	csts := make([]byte, 4)
 	tb.host.Port.Read(tb.bar+RegCSTS, 4, csts, nil)
@@ -332,11 +324,11 @@ func TestProtocolSMARTLogPage(t *testing.T) {
 	}
 	page := make([]byte, 512)
 	tb.host.Mem.Store().ReadBytes(logBuf-tb.host.Mem.Base, page)
-	writes := le64(page[80:88])
+	writes := binary.LittleEndian.Uint64(page[80:88])
 	if writes != 1 {
 		t.Fatalf("SMART host writes = %d, want 1", writes)
 	}
-	units := le64(page[48:56])
+	units := binary.LittleEndian.Uint64(page[48:56])
 	if units != 1 {
 		t.Fatalf("SMART data units written = %d, want 1", units)
 	}
@@ -375,10 +367,10 @@ func TestProtocolErrorLogPage(t *testing.T) {
 	page := make([]byte, 128)
 	tb.host.Mem.Store().ReadBytes(logBuf-tb.host.Mem.Base, page)
 	// Newest first: entry 0 is the CID-23 error.
-	if cid := le32(page[10:14]) & 0xFFFF; cid != 23 {
+	if cid := binary.LittleEndian.Uint32(page[10:14]) & 0xFFFF; cid != 23 {
 		t.Fatalf("newest log entry CID = %d, want 23", cid)
 	}
-	if cnt := le64(page[0:8]); cnt != 2 {
+	if cnt := binary.LittleEndian.Uint64(page[0:8]); cnt != 2 {
 		t.Fatalf("newest error count = %d, want 2", cnt)
 	}
 }

@@ -69,21 +69,6 @@ func (h *Histogram) Percentile(p float64) Time {
 	return h.samples[rank]
 }
 
-// Stddev returns the population standard deviation in nanoseconds.
-func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(h.Mean())
-	var acc float64
-	for _, s := range h.samples {
-		d := float64(s) - mean
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
-}
-
 func (h *Histogram) ensureSorted() {
 	if !h.sorted {
 		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })

@@ -1,6 +1,7 @@
 package spdk
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"snacc/internal/nvme"
@@ -66,17 +67,11 @@ func (d *Driver) buildPRPs(cmd *nvme.Command, bufAddr uint64, n int64) uint64 {
 	list := d.allocPRPPage()
 	entries := make([]byte, (pages-1)*8)
 	for i := 1; i < pages; i++ {
-		putLE64(entries[(i-1)*8:], bufAddr+uint64(i)*nvme.PageSize)
+		binary.LittleEndian.PutUint64(entries[(i-1)*8:], bufAddr+uint64(i)*nvme.PageSize)
 	}
 	d.host.Mem.Store().WriteBytes(list-hostMemBase(d.host), entries)
 	cmd.PRP2 = list
 	return list
-}
-
-func putLE64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // io submits one (possibly split) I/O and invokes cb once every piece has

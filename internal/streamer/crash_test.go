@@ -61,20 +61,20 @@ func TestBreakerBoundsRetryStorm(t *testing.T) {
 	if !st.Dead() {
 		t.Error("controller not declared dead")
 	}
-	if st.BreakerTrips() != 1 {
-		t.Errorf("breaker trips = %d, want 1", st.BreakerTrips())
+	if st.Counters().BreakerTrips != 1 {
+		t.Errorf("breaker trips = %d, want 1", st.Counters().BreakerTrips)
 	}
-	if st.ControllerResets() != 2 {
-		t.Errorf("controller resets = %d, want MaxResets = 2", st.ControllerResets())
+	if st.Counters().ControllerResets != 2 {
+		t.Errorf("controller resets = %d, want MaxResets = 2", st.Counters().ControllerResets)
 	}
 	// Without the breaker every stranded in-flight command retried
 	// MaxRetries times (~27 resubmissions for a 9-deep window); the breaker
 	// allows at most the pre-trip stragglers.
-	if st.CommandRetries() > 3 {
-		t.Errorf("retry storm: %d resubmissions against a dead controller", st.CommandRetries())
+	if st.Counters().CommandRetries > 3 {
+		t.Errorf("retry storm: %d resubmissions against a dead controller", st.Counters().CommandRetries)
 	}
-	if st.CommandTimeouts() > int64(st.Config().BreakerThreshold)+1 {
-		t.Errorf("timeouts = %d, want ~BreakerThreshold", st.CommandTimeouts())
+	if st.Counters().CommandTimeouts > int64(st.Config().BreakerThreshold)+1 {
+		t.Errorf("timeouts = %d, want ~BreakerThreshold", st.Counters().CommandTimeouts)
 	}
 }
 
@@ -114,20 +114,20 @@ func TestCrashBreakerRecoversAndReplays(t *testing.T) {
 	if dev.ControllerCrashes() != 1 {
 		t.Errorf("device crashes = %d, want 1", dev.ControllerCrashes())
 	}
-	if st.BreakerTrips() != 1 || st.ControllerResets() != 1 {
-		t.Errorf("trips/resets = %d/%d, want 1/1", st.BreakerTrips(), st.ControllerResets())
+	if st.Counters().BreakerTrips != 1 || st.Counters().ControllerResets != 1 {
+		t.Errorf("trips/resets = %d/%d, want 1/1", st.Counters().BreakerTrips, st.Counters().ControllerResets)
 	}
-	if st.CommandsReplayed() == 0 {
+	if st.Counters().CommandsReplayed == 0 {
 		t.Error("no commands replayed despite in-flight window at crash")
 	}
-	if st.RecoveryTime() <= 0 {
+	if st.Counters().RecoveryTimeNs <= 0 {
 		t.Error("recovery time not accounted")
 	}
 	if st.Dead() {
 		t.Error("recovered controller marked dead")
 	}
-	if st.CommandAborts() != 0 {
-		t.Errorf("aborts = %d after successful recovery, want 0", st.CommandAborts())
+	if st.Counters().CommandAborts != 0 {
+		t.Errorf("aborts = %d after successful recovery, want 0", st.Counters().CommandAborts)
 	}
 }
 
@@ -174,17 +174,17 @@ func TestCrashBreakerRecoversMultiQueue(t *testing.T) {
 	if dev.ControllerCrashes() != 1 {
 		t.Errorf("device crashes = %d, want 1", dev.ControllerCrashes())
 	}
-	if st.BreakerTrips() != 1 || st.ControllerResets() != 1 {
-		t.Errorf("trips/resets = %d/%d, want 1/1", st.BreakerTrips(), st.ControllerResets())
+	if st.Counters().BreakerTrips != 1 || st.Counters().ControllerResets != 1 {
+		t.Errorf("trips/resets = %d/%d, want 1/1", st.Counters().BreakerTrips, st.Counters().ControllerResets)
 	}
-	if st.CommandsReplayed() == 0 {
+	if st.Counters().CommandsReplayed == 0 {
 		t.Error("no commands replayed despite in-flight window at crash")
 	}
 	if st.Dead() {
 		t.Error("recovered controller marked dead")
 	}
-	if st.CommandAborts() != 0 {
-		t.Errorf("aborts = %d after successful recovery, want 0", st.CommandAborts())
+	if st.Counters().CommandAborts != 0 {
+		t.Errorf("aborts = %d after successful recovery, want 0", st.Counters().CommandAborts)
 	}
 }
 
@@ -223,12 +223,12 @@ func TestCrashHangRevivesWithoutReset(t *testing.T) {
 	if dev.ControllerHangs() != 1 {
 		t.Errorf("device hangs = %d, want 1", dev.ControllerHangs())
 	}
-	if st.BreakerTrips() != 0 || st.ControllerResets() != 0 {
+	if st.Counters().BreakerTrips != 0 || st.Counters().ControllerResets != 0 {
 		t.Errorf("trips/resets = %d/%d across a self-reviving hang, want 0/0",
-			st.BreakerTrips(), st.ControllerResets())
+			st.Counters().BreakerTrips, st.Counters().ControllerResets)
 	}
-	if st.CommandTimeouts() != 0 {
-		t.Errorf("timeouts = %d, want 0 (hang shorter than deadline)", st.CommandTimeouts())
+	if st.Counters().CommandTimeouts != 0 {
+		t.Errorf("timeouts = %d, want 0 (hang shorter than deadline)", st.Counters().CommandTimeouts)
 	}
 }
 
@@ -272,8 +272,8 @@ func TestPermanentDeathFailsFast(t *testing.T) {
 	if !st.Dead() {
 		t.Error("controller not declared dead")
 	}
-	if st.ControllerResets() != 0 {
-		t.Errorf("resets = %d with MaxResets = 0, want 0", st.ControllerResets())
+	if st.Counters().ControllerResets != 0 {
+		t.Errorf("resets = %d with MaxResets = 0, want 0", st.Counters().ControllerResets)
 	}
 	if dev.ControllerCrashes() != 1 {
 		t.Errorf("device crashes = %d, want 1", dev.ControllerCrashes())
@@ -307,11 +307,11 @@ func TestCFSPollDetectsCrashFast(t *testing.T) {
 		t.Fatal("PE never finished")
 	}
 	st := c.Streamer()
-	if st.ControllerResets() != 1 || st.CommandsReplayed() == 0 {
-		t.Errorf("resets/replayed = %d/%d, want 1/>0", st.ControllerResets(), st.CommandsReplayed())
+	if st.Counters().ControllerResets != 1 || st.Counters().CommandsReplayed == 0 {
+		t.Errorf("resets/replayed = %d/%d, want 1/>0", st.Counters().ControllerResets, st.Counters().CommandsReplayed)
 	}
-	if st.CommandTimeouts() != 0 {
-		t.Errorf("timeouts = %d, want 0 (poll must beat the 1 s watchdog)", st.CommandTimeouts())
+	if st.Counters().CommandTimeouts != 0 {
+		t.Errorf("timeouts = %d, want 0 (poll must beat the 1 s watchdog)", st.Counters().CommandTimeouts)
 	}
 	if finished >= 100*sim.Millisecond {
 		t.Errorf("recovery took %v, want well under the 1 s command deadline", finished)

@@ -62,8 +62,8 @@ func TestFailedReadDeliversNoData(t *testing.T) {
 	if st.BytesToPE() != 0 {
 		t.Errorf("BytesToPE = %d after failed read, want 0", st.BytesToPE())
 	}
-	if st.CommandErrors() != 1 || st.CommandAborts() != 1 {
-		t.Errorf("errors/aborts = %d/%d, want 1/1", st.CommandErrors(), st.CommandAborts())
+	if st.Counters().CommandErrors != 1 || st.Counters().CommandAborts != 1 {
+		t.Errorf("errors/aborts = %d/%d, want 1/1", st.Counters().CommandErrors, st.Counters().CommandAborts)
 	}
 }
 
@@ -102,11 +102,11 @@ func TestRetryableErrorRetriedToSuccess(t *testing.T) {
 		t.Fatal("PE never finished")
 	}
 	st := c.Streamer()
-	if st.CommandErrors() != 1 || st.CommandRetries() != 1 {
-		t.Errorf("errors/retries = %d/%d, want 1/1", st.CommandErrors(), st.CommandRetries())
+	if st.Counters().CommandErrors != 1 || st.Counters().CommandRetries != 1 {
+		t.Errorf("errors/retries = %d/%d, want 1/1", st.Counters().CommandErrors, st.Counters().CommandRetries)
 	}
-	if st.CommandAborts() != 0 || st.CommandTimeouts() != 0 {
-		t.Errorf("aborts/timeouts = %d/%d, want 0/0", st.CommandAborts(), st.CommandTimeouts())
+	if st.Counters().CommandAborts != 0 || st.Counters().CommandTimeouts != 0 {
+		t.Errorf("aborts/timeouts = %d/%d, want 0/0", st.Counters().CommandAborts, st.Counters().CommandTimeouts)
 	}
 }
 
@@ -139,9 +139,9 @@ func TestDroppedCQERecoveredByWatchdog(t *testing.T) {
 		t.Fatal("PE never finished")
 	}
 	st := c.Streamer()
-	if st.CommandTimeouts() != 1 || st.CommandRetries() != 1 || st.CommandAborts() != 0 {
+	if st.Counters().CommandTimeouts != 1 || st.Counters().CommandRetries != 1 || st.Counters().CommandAborts != 0 {
 		t.Errorf("timeouts/retries/aborts = %d/%d/%d, want 1/1/0",
-			st.CommandTimeouts(), st.CommandRetries(), st.CommandAborts())
+			st.Counters().CommandTimeouts, st.Counters().CommandRetries, st.Counters().CommandAborts)
 	}
 	if dev.CQEsDropped() != 1 || inj.Injected() != 1 {
 		t.Errorf("dropped/injected = %d/%d, want 1/1", dev.CQEsDropped(), inj.Injected())
@@ -178,9 +178,9 @@ func TestExhaustedRetriesAbortToPE(t *testing.T) {
 	}
 	st := c.Streamer()
 	// 1 original + 3 resubmissions, each with an expired deadline.
-	if st.CommandTimeouts() != 4 || st.CommandRetries() != 3 || st.CommandAborts() != 1 {
+	if st.Counters().CommandTimeouts != 4 || st.Counters().CommandRetries != 3 || st.Counters().CommandAborts != 1 {
 		t.Errorf("timeouts/retries/aborts = %d/%d/%d, want 4/3/1",
-			st.CommandTimeouts(), st.CommandRetries(), st.CommandAborts())
+			st.Counters().CommandTimeouts, st.Counters().CommandRetries, st.Counters().CommandAborts)
 	}
 	if dev.CQEsDropped() != 4 {
 		t.Errorf("CQEs dropped = %d, want 4", dev.CQEsDropped())
@@ -217,11 +217,11 @@ func TestDelayedCQEStaleCompletionTolerated(t *testing.T) {
 		t.Fatal("PE never finished")
 	}
 	st := c.Streamer()
-	if st.CommandTimeouts() != 1 || st.CommandRetries() != 1 {
-		t.Errorf("timeouts/retries = %d/%d, want 1/1", st.CommandTimeouts(), st.CommandRetries())
+	if st.Counters().CommandTimeouts != 1 || st.Counters().CommandRetries != 1 {
+		t.Errorf("timeouts/retries = %d/%d, want 1/1", st.Counters().CommandTimeouts, st.Counters().CommandRetries)
 	}
-	if st.ProtocolErrors() != 1 {
-		t.Errorf("protocol errors = %d, want 1 (stale CQE)", st.ProtocolErrors())
+	if st.Counters().ProtocolErrors != 1 {
+		t.Errorf("protocol errors = %d, want 1 (stale CQE)", st.Counters().ProtocolErrors)
 	}
 	if dev.CQEsDelayed() != 1 {
 		t.Errorf("CQEs delayed = %d, want 1", dev.CQEsDelayed())
@@ -248,8 +248,8 @@ func TestInvalidCompletionsCountedNotFatal(t *testing.T) {
 	st.InjectCQE(nvme.Completion{CID: 9999}) // out of range
 	st.InjectCQE(nvme.Completion{CID: 3})    // idle slot: stale/duplicate
 	k.Run(0)
-	if st.ProtocolErrors() != 2 {
-		t.Errorf("protocol errors = %d, want 2", st.ProtocolErrors())
+	if st.Counters().ProtocolErrors != 2 {
+		t.Errorf("protocol errors = %d, want 2", st.Counters().ProtocolErrors)
 	}
 }
 
@@ -293,9 +293,9 @@ func TestWriteErrorPropagatesWorstStatus(t *testing.T) {
 		t.Fatal("PE never finished")
 	}
 	st := c.Streamer()
-	if st.CommandErrors() != 2 || st.CommandAborts() != 2 || st.CommandsRetired() != 3 {
+	if st.Counters().CommandErrors != 2 || st.Counters().CommandAborts != 2 || st.CommandsRetired() != 3 {
 		t.Errorf("errors/aborts/retired = %d/%d/%d, want 2/2/3",
-			st.CommandErrors(), st.CommandAborts(), st.CommandsRetired())
+			st.Counters().CommandErrors, st.Counters().CommandAborts, st.CommandsRetired())
 	}
 }
 
@@ -329,9 +329,9 @@ func TestRecoveryScheduleDeterministic(t *testing.T) {
 		st := c.Streamer()
 		return outcome{
 			now:      k.Now(),
-			timeouts: st.CommandTimeouts(), retries: st.CommandRetries(),
-			aborts: st.CommandAborts(), errorsSeen: st.CommandErrors(),
-			protocolErrors: st.ProtocolErrors(),
+			timeouts: st.Counters().CommandTimeouts, retries: st.Counters().CommandRetries,
+			aborts: st.Counters().CommandAborts, errorsSeen: st.Counters().CommandErrors,
+			protocolErrors: st.Counters().ProtocolErrors,
 			submitted:      st.CommandsSubmitted(), retired: st.CommandsRetired(),
 			injected: inj.Injected(),
 		}

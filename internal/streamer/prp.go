@@ -1,6 +1,7 @@
 package streamer
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"snacc/internal/nvme"
@@ -60,7 +61,7 @@ func (w *prpWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) 
 			first := (linear & (nvme.PageSize - 1)) / 8
 			for j := int64(0); j < n/8; j++ {
 				entry := s.cfg.WindowBase + uint64(secondPage+(first+j)*nvme.PageSize)
-				putLE64(buf[j*8:], entry)
+				binary.LittleEndian.PutUint64(buf[j*8:], entry)
 			}
 		} else {
 			winRel := rel - s.layout().prpOff
@@ -72,7 +73,7 @@ func (w *prpWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) 
 			}
 			for j := int64(0); j < n/8; j++ {
 				off := reg.secondPageOff + (first+j)*nvme.PageSize
-				putLE64(buf[j*8:], s.bufPhys(reg.isWrite, off))
+				binary.LittleEndian.PutUint64(buf[j*8:], s.bufPhys(reg.isWrite, off))
 			}
 			if s.cfg.Variant == HostDRAM {
 				lat += s.cfg.AddressCalcOverhead
@@ -84,10 +85,4 @@ func (w *prpWindow) CompleteRead(addr uint64, n int64, buf []byte, done func()) 
 
 func (w *prpWindow) CompleteWrite(addr uint64, n int64, data []byte) {
 	panic("streamer: PRP window is read-only")
-}
-
-func putLE64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

@@ -124,7 +124,7 @@ func TestSpanInvariantsFaultSweep(t *testing.T) {
 				t.Fatal("sweep injected nothing; rates too low to exercise recovery")
 			}
 			// Retried spans must carry their annotations.
-			if c.Streamer().CommandRetries() > 0 {
+			if c.Streamer().Counters().CommandRetries > 0 {
 				var annotated int
 				for _, sp := range tr.Spans() {
 					if len(sp.Annots) > 0 {
@@ -154,8 +154,8 @@ func TestSpanInvariantsCrashLadder(t *testing.T) {
 	k.Run(0)
 	checkSpanInvariants(t, tr)
 	st := c.Streamer()
-	if st.BreakerTrips() == 0 || st.CommandsReplayed() == 0 {
-		t.Fatalf("ladder did not run: trips=%d replayed=%d", st.BreakerTrips(), st.CommandsReplayed())
+	if st.Counters().BreakerTrips == 0 || st.Counters().CommandsReplayed == 0 {
+		t.Fatalf("ladder did not run: trips=%d replayed=%d", st.Counters().BreakerTrips, st.Counters().CommandsReplayed)
 	}
 	var replayed int
 	for _, sp := range tr.Spans() {
@@ -178,9 +178,9 @@ func TestSpanInvariantsCrashLadder(t *testing.T) {
 			resets++
 		}
 	}
-	if int64(trips) != st.BreakerTrips() || int64(resets) != st.ControllerResets() {
+	if int64(trips) != st.Counters().BreakerTrips || int64(resets) != st.Counters().ControllerResets {
 		t.Errorf("event timeline: %d trips / %d resets, streamer says %d / %d",
-			trips, resets, st.BreakerTrips(), st.ControllerResets())
+			trips, resets, st.Counters().BreakerTrips, st.Counters().ControllerResets)
 	}
 }
 

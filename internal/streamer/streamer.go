@@ -134,22 +134,8 @@ type Streamer struct {
 	submitFSM *sim.Server
 	retireFSM *sim.Server
 
-	// Stats.
-	cmdsSubmitted  int64
-	cmdsRetired    int64
-	bytesToPE      int64
-	bytesFromPE    int64
-	errors         int64
-	retries        int64
-	timeouts       int64
-	aborts         int64
-	protocolErrors int64
-	breakerTrips   int64
-	ctrlResets     int64
-	replayedCmds   int64
-	recoveryTime   sim.Time
-	doorbellWrites int64
-	cqBatches      int64
+	// ctr holds the counters Counters returns.
+	ctr Counters
 
 	// tr, when non-nil, traces every NVMe command as an obs.Span. All
 	// instrumentation sites go through nil-safe obs methods, so the
@@ -409,68 +395,95 @@ func (s *Streamer) Config() Config { return s.cfg }
 // WindowSize returns the BAR window span this streamer decodes.
 func (s *Streamer) WindowSize() int64 { return s.windowSize() }
 
-// Stats.
+// Counters is a Streamer's counter snapshot. Platform and cluster
+// snapshots sum it over Streamers with Add.
+type Counters struct {
+	// CommandsSubmitted and CommandsRetired count the NVMe commands issued
+	// and the commands retired in order.
+	CommandsSubmitted int64
+	CommandsRetired   int64
+	// CommandErrors counts non-success completions received from the
+	// device, before recovery: a retried-to-success command still counts
+	// its failed attempts here.
+	CommandErrors int64
+	// CommandRetries counts resubmissions performed by the recovery stage.
+	CommandRetries int64
+	// CommandTimeouts counts watchdog deadline expiries (lost or overdue
+	// completions).
+	CommandTimeouts int64
+	// CommandAborts counts commands abandoned after recovery was exhausted
+	// and propagated to the PE as stream error flags.
+	CommandAborts int64
+	// ProtocolErrors counts completion entries dropped as protocol
+	// violations (invalid or duplicate CID) instead of crashing the rig:
+	// under fault injection a resubmitted command's original completion may
+	// still arrive.
+	ProtocolErrors int64
+	// BreakerTrips counts openings of the controller-failure circuit
+	// breaker, ControllerResets the reset attempts the recovery ladder
+	// issued, and CommandsReplayed the in-flight commands resubmitted from
+	// the retained staging buffers after a successful reset.
+	BreakerTrips     int64
+	ControllerResets int64
+	CommandsReplayed int64
+	// RecoveryTimeNs is the total simulated time spent inside the recovery
+	// ladder (breaker trip → replay complete or death); divide by
+	// BreakerTrips for the mean time to recover.
+	RecoveryTimeNs int64
+	// DoorbellWrites counts the SQ-tail and CQ-head doorbell writes posted
+	// over PCIe. Without coalescing every command costs two (one tail ring,
+	// one head update); DoorbellBatch amortizes both sides, and
+	// DoorbellWrites / CommandsSubmitted is the amortization ratio the
+	// -queues sweep reports.
+	DoorbellWrites int64
+	// CQBatches counts the CQ-head doorbell updates that acknowledged a
+	// coalesced run of drained completions (0 unless DoorbellBatch > 1).
+	CQBatches int64
+	// BytesToPE and BytesFromPE count the payload bytes streamed to the PE
+	// (reads) and received from it (writes).
+	BytesToPE   int64
+	BytesFromPE int64
+}
 
-// CommandsSubmitted returns the NVMe commands issued.
-func (s *Streamer) CommandsSubmitted() int64 { return s.cmdsSubmitted }
+// Add sums o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.CommandsSubmitted += o.CommandsSubmitted
+	c.CommandsRetired += o.CommandsRetired
+	c.CommandErrors += o.CommandErrors
+	c.CommandRetries += o.CommandRetries
+	c.CommandTimeouts += o.CommandTimeouts
+	c.CommandAborts += o.CommandAborts
+	c.ProtocolErrors += o.ProtocolErrors
+	c.BreakerTrips += o.BreakerTrips
+	c.ControllerResets += o.ControllerResets
+	c.CommandsReplayed += o.CommandsReplayed
+	c.RecoveryTimeNs += o.RecoveryTimeNs
+	c.DoorbellWrites += o.DoorbellWrites
+	c.CQBatches += o.CQBatches
+	c.BytesToPE += o.BytesToPE
+	c.BytesFromPE += o.BytesFromPE
+}
 
-// CommandsRetired returns the NVMe commands retired in order.
-func (s *Streamer) CommandsRetired() int64 { return s.cmdsRetired }
+// Counters returns a snapshot of the Streamer's counters.
+func (s *Streamer) Counters() Counters { return s.ctr }
 
-// BytesToPE returns payload bytes streamed to the PE (reads).
-func (s *Streamer) BytesToPE() int64 { return s.bytesToPE }
+// CommandsSubmitted returns Counters().CommandsSubmitted.
+func (s *Streamer) CommandsSubmitted() int64 { return s.ctr.CommandsSubmitted }
 
-// BytesFromPE returns payload bytes received from the PE (writes).
-func (s *Streamer) BytesFromPE() int64 { return s.bytesFromPE }
+// CommandsRetired returns Counters().CommandsRetired.
+func (s *Streamer) CommandsRetired() int64 { return s.ctr.CommandsRetired }
 
-// CommandErrors returns non-success completions received from the device,
-// before recovery — a retried-to-success command still counts its failed
-// attempts here.
-func (s *Streamer) CommandErrors() int64 { return s.errors }
+// BytesToPE returns Counters().BytesToPE.
+func (s *Streamer) BytesToPE() int64 { return s.ctr.BytesToPE }
 
-// CommandRetries returns resubmissions performed by the recovery stage.
-func (s *Streamer) CommandRetries() int64 { return s.retries }
+// BytesFromPE returns Counters().BytesFromPE.
+func (s *Streamer) BytesFromPE() int64 { return s.ctr.BytesFromPE }
 
-// CommandTimeouts returns watchdog deadline expiries (lost or overdue
-// completions).
-func (s *Streamer) CommandTimeouts() int64 { return s.timeouts }
+// DoorbellWrites returns Counters().DoorbellWrites.
+func (s *Streamer) DoorbellWrites() int64 { return s.ctr.DoorbellWrites }
 
-// CommandAborts returns commands abandoned after recovery was exhausted and
-// propagated to the PE as stream error flags.
-func (s *Streamer) CommandAborts() int64 { return s.aborts }
-
-// ProtocolErrors returns completion entries dropped as protocol violations
-// (invalid or duplicate CID) instead of crashing the rig — under fault
-// injection a resubmitted command's original completion may still arrive.
-func (s *Streamer) ProtocolErrors() int64 { return s.protocolErrors }
-
-// BreakerTrips returns how many times the controller-failure circuit
-// breaker opened.
-func (s *Streamer) BreakerTrips() int64 { return s.breakerTrips }
-
-// ControllerResets returns controller reset attempts issued by the
-// recovery ladder.
-func (s *Streamer) ControllerResets() int64 { return s.ctrlResets }
-
-// CommandsReplayed returns in-flight commands resubmitted from the
-// retained staging buffers after a successful controller reset.
-func (s *Streamer) CommandsReplayed() int64 { return s.replayedCmds }
-
-// RecoveryTime returns total simulated time spent inside the recovery
-// ladder (breaker trip → replay complete or death); divide by BreakerTrips
-// for the mean time to recover.
-func (s *Streamer) RecoveryTime() sim.Time { return s.recoveryTime }
-
-// DoorbellWrites returns the total SQ-tail and CQ-head doorbell writes
-// posted over PCIe. Without coalescing every command costs two (one tail
-// ring, one head update); DoorbellBatch amortizes both sides, and
-// DoorbellWrites / CommandsSubmitted is the amortization ratio the -queues
-// sweep reports.
-func (s *Streamer) DoorbellWrites() int64 { return s.doorbellWrites }
-
-// CQBatches returns how many CQ-head doorbell updates acknowledged a
-// coalesced run of drained completions (0 unless DoorbellBatch > 1).
-func (s *Streamer) CQBatches() int64 { return s.cqBatches }
+// CQBatches returns Counters().CQBatches.
+func (s *Streamer) CQBatches() int64 { return s.ctr.CQBatches }
 
 // QueueDepthHighWater returns the per-queue in-flight high-water marks
 // (submitted, not yet retired), one entry per I/O queue pair.
@@ -692,7 +705,7 @@ func (s *Streamer) encodeAndRing(slot int) {
 	cmd.MarshalInto(q.sqRing[q.sqTail])
 	q.sqFilled[q.sqTail] = true
 	q.sqTail = (q.sqTail + 1) % s.cfg.QueueDepth
-	s.cmdsSubmitted++
+	s.ctr.CommandsSubmitted++
 	if s.cfg.CmdTimeout > 0 {
 		seq := e.seq
 		s.k.After(s.cfg.CmdTimeout, func() { s.onDeadline(slot, seq) })
@@ -781,7 +794,7 @@ func (s *Streamer) sqFlushTimer(qi int) {
 // device's register completer decodes the value synchronously at delivery,
 // after which the buffer returns to the pool.
 func (s *Streamer) ringDoorbell(addr uint64, val uint32) {
-	s.doorbellWrites++
+	s.ctr.DoorbellWrites++
 	b := bufpool.Get(4)
 	b[0], b[1], b[2], b[3] = byte(val), byte(val>>8), byte(val>>16), byte(val>>24)
 	s.port.Write(addr, 4, b, func() { bufpool.Put(b) })
@@ -862,7 +875,7 @@ func (s *Streamer) writeLoop(p *sim.Proc) {
 					fnData = append(fnData, pkt.Data...)
 				}
 				filled += pkt.Bytes
-				s.bytesFromPE += pkt.Bytes
+				s.ctr.BytesFromPE += pkt.Bytes
 				done = pkt.Last
 			}
 			if filled%s.lbaSize != 0 {
@@ -906,7 +919,7 @@ func (s *Streamer) writeLoop(p *sim.Proc) {
 func (s *Streamer) onCQE(qi int, cqe nvme.Completion) {
 	slot := int(cqe.CID)
 	if slot < 0 || slot >= len(s.rob) || !s.rob[slot].used || s.rob[slot].done {
-		s.protocolErrors++
+		s.ctr.ProtocolErrors++
 		s.tr.LateEvent()
 		s.consumeCQE(qi)
 		return
@@ -920,7 +933,7 @@ func (s *Streamer) onCQE(qi int, cqe nvme.Completion) {
 	// consecutive-timeout count restarts.
 	s.consecTimeouts = 0
 	if cqe.Status != nvme.StatusSuccess {
-		s.errors++
+		s.ctr.CommandErrors++
 	}
 	// Nudge the retire loop; extra signals coalesce in the 1-deep channel.
 	s.cqeSignal.TryPut(struct{}{})
@@ -981,7 +994,7 @@ func (s *Streamer) flushCQ(qi int) {
 	if s.breakerOpen || s.dead {
 		return
 	}
-	s.cqBatches++
+	s.ctr.CQBatches++
 	s.ringDoorbell(q.cqDoorbell, uint32(q.cqConsumed))
 }
 
@@ -1017,7 +1030,7 @@ func (s *Streamer) onDeadline(slot int, seq uint64) {
 		// declareDead.
 		return
 	}
-	s.timeouts++
+	s.ctr.CommandTimeouts++
 	s.consecTimeouts++
 	e.span.Annotate(obs.AnnotTimeout, s.k.Now())
 	if s.cfg.BreakerThreshold > 0 && s.consecTimeouts >= s.cfg.BreakerThreshold {
@@ -1106,7 +1119,7 @@ func (s *Streamer) retryLoop(p *sim.Proc) {
 		if stale(rq) {
 			continue
 		}
-		s.retries++
+		s.ctr.CommandRetries++
 		s.rob[rq.slot].span.Annotate(obs.AnnotRetry, p.Now())
 		s.encodeAndRing(rq.slot)
 	}
@@ -1143,7 +1156,7 @@ func (s *Streamer) tripBreaker() {
 		return
 	}
 	s.breakerOpen = true
-	s.breakerTrips++
+	s.ctr.BreakerTrips++
 	s.tr.Event(obs.AnnotBreakerTrip, s.k.Now())
 	s.breakerSignal.TryPut(struct{}{})
 }
@@ -1166,7 +1179,7 @@ func (s *Streamer) recoverCtrl(p *sim.Proc) {
 	start := p.Now()
 	ok := false
 	for attempt := 0; attempt < s.cfg.MaxResets && s.resetFn != nil; attempt++ {
-		s.ctrlResets++
+		s.ctr.ControllerResets++
 		s.tr.Event(obs.AnnotReset, p.Now())
 		if err := s.resetFn(p); err == nil {
 			ok = true
@@ -1178,7 +1191,7 @@ func (s *Streamer) recoverCtrl(p *sim.Proc) {
 	} else {
 		s.declareDead()
 	}
-	s.recoveryTime += p.Now() - start
+	s.ctr.RecoveryTimeNs += int64(p.Now() - start)
 	s.consecTimeouts = 0
 	s.breakerOpen = false
 	w := s.breakerWaiters
@@ -1210,7 +1223,7 @@ func (s *Streamer) replay(p *sim.Proc) {
 	}
 	for _, slot := range s.inflightOrder() {
 		occupy(p, s.submitFSM, s.cfg.SubmitOverhead)
-		s.replayedCmds++
+		s.ctr.CommandsReplayed++
 		s.rob[slot].span.Annotate(obs.AnnotReplay, p.Now())
 		s.encodeAndRing(slot)
 	}
@@ -1367,7 +1380,7 @@ func (s *Streamer) retireLoop(p *sim.Proc) {
 		}
 		occupy(p, s.retireFSM, cost)
 		if e.status != nvme.StatusSuccess {
-			s.aborts++
+			s.ctr.CommandAborts++
 		}
 		if e.isWrite && e.wreq != nil {
 			e.wreq.remaining--
@@ -1405,7 +1418,7 @@ func (s *Streamer) retireLoop(p *sim.Proc) {
 		s.tr.End(e.span, e.status, p.Now())
 		hadCQE := e.hasCQE
 		s.robRelease(slot)
-		s.cmdsRetired++
+		s.ctr.CommandsRetired++
 		if hadCQE {
 			s.consumeCQE(e.queue)
 		}
@@ -1471,7 +1484,7 @@ func (s *Streamer) sendLoop(p *sim.Proc) {
 		}
 		s.drainAndSend(p, it)
 		s.freeBuf(false, it.bufOff)
-		s.bytesToPE += it.length
+		s.ctr.BytesToPE += it.length
 	}
 }
 

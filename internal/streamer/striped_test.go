@@ -218,8 +218,8 @@ func TestStripedDegradedOperation(t *testing.T) {
 		t.Errorf("degraded writes/reads = %d/%d, want both > 0",
 			s.DegradedWrites(), s.DegradedReads())
 	}
-	if s.Member(1).Streamer().ControllerResets() != 0 {
-		t.Errorf("member 1 resets = %d with MaxResets = 0", s.Member(1).Streamer().ControllerResets())
+	if s.Member(1).Streamer().Counters().ControllerResets != 0 {
+		t.Errorf("member 1 resets = %d with MaxResets = 0", s.Member(1).Streamer().Counters().ControllerResets)
 	}
 }
 

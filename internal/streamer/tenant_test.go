@@ -362,7 +362,7 @@ func TestTenantIsolationProperty(t *testing.T) {
 	if finished != hub.Tenants() {
 		t.Fatalf("only %d/%d tenants finished", finished, hub.Tenants())
 	}
-	if st.BreakerTrips() == 0 {
+	if st.Counters().BreakerTrips == 0 {
 		t.Error("controller crash never tripped the breaker (property run lost its crash)")
 	}
 	// (b) Span invariants, globally and per tenant.

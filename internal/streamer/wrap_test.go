@@ -67,7 +67,7 @@ func TestSQRingWrapAtDepthBoundary(t *testing.T) {
 		t.Fatal("PE never finished")
 	}
 	st := c.Streamer()
-	if st.CommandRetries() == 0 {
+	if st.Counters().CommandRetries == 0 {
 		t.Error("no retries: resubmission never re-entered the wrapped ring")
 	}
 	hw := st.QueueDepthHighWater()
@@ -123,7 +123,7 @@ func TestSQRingWrapMultiQueue(t *testing.T) {
 		t.Fatal("PE never finished")
 	}
 	st := c.Streamer()
-	if st.CommandRetries() == 0 {
+	if st.Counters().CommandRetries == 0 {
 		t.Error("no retries: resubmission never re-entered a wrapped ring")
 	}
 	hw := st.QueueDepthHighWater()

@@ -80,8 +80,10 @@ func (pl *Platform) Boot() error {
 // including the fetch and execute stages each SSD reports for the queues
 // its Streamers own. The device reports by (qid, cid); the CID is unique
 // across one Streamer's queues (it is the reorder-buffer slot), so the
-// owning Streamer maps it back to the command.
+// owning Streamer maps it back to the command. Counters reports tr's span
+// accounting.
 func (pl *Platform) TraceSpans(tr *obs.Tracer) {
+	pl.tr = tr
 	for _, dev := range pl.ssds {
 		var own []binding
 		for _, b := range pl.binds {

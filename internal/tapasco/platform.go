@@ -12,6 +12,7 @@ import (
 
 	"snacc/internal/memmodel"
 	"snacc/internal/nvme"
+	"snacc/internal/obs"
 	"snacc/internal/pcie"
 	"snacc/internal/sim"
 	"snacc/internal/streamer"
@@ -78,10 +79,12 @@ type Platform struct {
 	barBrk  uint64
 	dramBrk uint64
 
-	// Bring-up inventory (bringup.go): SSDs in the order added, and the
-	// Streamer bound to each queue range.
+	// Bring-up inventory (bringup.go): SSDs in the order added, the
+	// Streamer bound to each queue range, and the span tracer (nil until
+	// TraceSpans).
 	ssds  []*nvme.Device
 	binds []binding
+	tr    *obs.Tracer
 }
 
 // NewPlatform assembles fabric, host and card.

@@ -49,9 +49,9 @@ func TestResetAfterCrashReattaches(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("read after reset returned different bytes")
 	}
-	if st.ControllerResets() != 1 || st.Dead() || dev.ControllerCrashes() != 1 {
+	if st.Counters().ControllerResets != 1 || st.Dead() || dev.ControllerCrashes() != 1 {
 		t.Fatalf("resets %d, dead %v, crashes %d: want one reset that revived the controller",
-			st.ControllerResets(), st.Dead(), dev.ControllerCrashes())
+			st.Counters().ControllerResets, st.Dead(), dev.ControllerCrashes())
 	}
 }
 

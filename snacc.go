@@ -812,56 +812,26 @@ func (s *System) CommandLatency(write bool) *LatencyHist { return s.tracer.E2E(w
 // unless Options.Trace.Boundary was set.
 func (s *System) BoundaryTrace() *pcie.Tracer { return s.boundary }
 
-// Stats is a snapshot of system counters. In cluster mode the Streamer,
-// span and fault counters are summed over the nodes and ControllerDead is
-// set when any node's controller is dead; the PCIe byte counters
-// (PCIeCardRx, PCIeSSDRx, PCIeHostRx) stay zero and IOQueueDepthPeak stays
-// nil there.
+// Counters is a node's counter snapshot: the Streamer's command, recovery,
+// doorbell and payload counters, the PCIe payload each port received, and
+// the span accounting (see tapasco.Counters for field semantics).
+type Counters = tapasco.Counters
+
+// Stats is a snapshot of system counters. In cluster mode the node
+// Counters are summed over the nodes and ControllerDead is set when any
+// node's controller is dead; only IOQueueDepthPeak stays nil there.
 type Stats struct {
-	// Commands submitted/retired by the Streamer and errors seen.
-	CommandsSubmitted int64
-	CommandsRetired   int64
-	CommandErrors     int64
-	// Recovery accounting: bounded resubmissions, watchdog expirations,
-	// commands failed terminally, and malformed/duplicate completions.
-	CommandRetries  int64
-	CommandTimeouts int64
-	CommandAborts   int64
-	ProtocolErrors  int64
+	Counters
 	// FaultsInjected counts injector firings (0 without Options.Faults or
 	// ClusterOptions.NodeFaults).
 	FaultsInjected int64
-	// Crash-recovery ladder accounting: breaker trips, controller resets
-	// issued, in-flight commands replayed after a reset, cumulative
-	// nanoseconds from breaker trip to resumed submission, and whether the
-	// controller was declared dead.
-	BreakerTrips     int64
-	ControllerResets int64
-	CommandsReplayed int64
-	RecoveryTimeNs   int64
-	ControllerDead   bool
-	// Multi-queue / doorbell-coalescing accounting: total doorbell writes
-	// posted over PCIe (SQ tail + CQ head), coalesced CQ-head batches, and
-	// the per-I/O-queue in-flight high-water marks (one entry per queue
-	// pair; a single-entry slice in the default configuration).
-	DoorbellWrites   int64
-	CQBatches        int64
+	// ControllerDead reports whether the recovery ladder declared the
+	// controller dead.
+	ControllerDead bool
+	// IOQueueDepthPeak holds the per-I/O-queue in-flight high-water marks
+	// (one entry per queue pair; a single-entry slice in the default
+	// configuration).
 	IOQueueDepthPeak []int64
-	// Span accounting (all 0 without Options.Trace): spans opened and
-	// closed (equal once the workload drains — the core tracing
-	// invariant), completed spans dropped past the retention limit, and
-	// pipeline events that arrived after their command resolved.
-	SpansOpened     int64
-	SpansClosed     int64
-	SpansDropped    int64
-	TraceLateEvents int64
-	// Payload byte counters.
-	BytesToPE   int64
-	BytesFromPE int64
-	// PCIe payload delivered into each port.
-	PCIeCardRx int64
-	PCIeSSDRx  int64
-	PCIeHostRx int64
 	// Simulated time elapsed since the system was built.
 	SimTime int64
 	// SimEvents counts discrete-event executions (simulator work).
@@ -891,43 +861,25 @@ func (s *System) Stats() Stats {
 		return s.clusterStats()
 	}
 	return Stats{
-		CommandsSubmitted: s.st.CommandsSubmitted(),
-		CommandsRetired:   s.st.CommandsRetired(),
-		CommandErrors:     s.st.CommandErrors(),
-		CommandRetries:    s.st.CommandRetries(),
-		CommandTimeouts:   s.st.CommandTimeouts(),
-		CommandAborts:     s.st.CommandAborts(),
-		ProtocolErrors:    s.st.ProtocolErrors(),
-		FaultsInjected:    s.FaultsInjected(),
-		BreakerTrips:      s.st.BreakerTrips(),
-		ControllerResets:  s.st.ControllerResets(),
-		CommandsReplayed:  s.st.CommandsReplayed(),
-		RecoveryTimeNs:    int64(s.st.RecoveryTime()),
-		ControllerDead:    s.st.Dead(),
-		DoorbellWrites:    s.st.DoorbellWrites(),
-		CQBatches:         s.st.CQBatches(),
-		IOQueueDepthPeak:  s.st.QueueDepthHighWater(),
-		SpansOpened:       s.tracer.Opened(),
-		SpansClosed:       s.tracer.Closed(),
-		SpansDropped:      s.tracer.Dropped(),
-		TraceLateEvents:   s.tracer.LateEvents(),
-		BytesToPE:         s.st.BytesToPE(),
-		BytesFromPE:       s.st.BytesFromPE(),
-		PCIeCardRx:        s.plat.Card.PayloadRx(),
-		PCIeSSDRx:         s.dev.Port().PayloadRx(),
-		PCIeHostRx:        s.plat.Host.Port.PayloadRx(),
-		SimTime:           int64(s.kernel.Now()),
-		SimEvents:         s.kernel.EventsExecuted(),
-		Tenants:           s.TenantStats(),
+		Counters:         s.plat.Counters(),
+		FaultsInjected:   s.FaultsInjected(),
+		ControllerDead:   s.st.Dead(),
+		IOQueueDepthPeak: s.st.QueueDepthHighWater(),
+		SimTime:          int64(s.kernel.Now()),
+		SimEvents:        s.kernel.EventsExecuted(),
+		Tenants:          s.TenantStats(),
 	}
 }
 
-// clusterStats maps the cluster's counters onto the system snapshot,
-// summing the per-node Streamer, tracer and injector counters into the
-// shared fields.
+// clusterStats maps the cluster's counters onto the system snapshot.
 func (s *System) clusterStats() Stats {
 	cs := s.cluster.Stats()
-	out := Stats{
+	return Stats{
+		Counters:              s.cluster.Counters(),
+		FaultsInjected:        s.FaultsInjected(),
+		ControllerDead:        len(cs.DeadNodes) > 0,
+		SimTime:               cs.SimTime,
+		SimEvents:             cs.SimEvents,
 		NodeDeaths:            cs.NodeDeaths,
 		NodeRejoins:           cs.Rejoins,
 		Failovers:             cs.Failovers,
@@ -935,37 +887,7 @@ func (s *System) clusterStats() Stats {
 		DegradedWindowNs:      cs.DegradedWindowNs,
 		UnderReplicatedChunks: cs.UnderReplicatedChunks,
 		DeadNodes:             cs.DeadNodes,
-		SimTime:               cs.SimTime,
-		SimEvents:             cs.SimEvents,
-		FaultsInjected:        s.FaultsInjected(),
 	}
-	for i := 0; i < s.cluster.Nodes(); i++ {
-		st := s.cluster.Node(i)
-		out.CommandsSubmitted += st.CommandsSubmitted()
-		out.CommandsRetired += st.CommandsRetired()
-		out.CommandErrors += st.CommandErrors()
-		out.CommandRetries += st.CommandRetries()
-		out.CommandTimeouts += st.CommandTimeouts()
-		out.CommandAborts += st.CommandAborts()
-		out.ProtocolErrors += st.ProtocolErrors()
-		out.BreakerTrips += st.BreakerTrips()
-		out.ControllerResets += st.ControllerResets()
-		out.CommandsReplayed += st.CommandsReplayed()
-		out.RecoveryTimeNs += int64(st.RecoveryTime())
-		out.DoorbellWrites += st.DoorbellWrites()
-		out.CQBatches += st.CQBatches()
-		out.BytesToPE += st.BytesToPE()
-		out.BytesFromPE += st.BytesFromPE()
-		tr := st.Tracer()
-		out.SpansOpened += tr.Opened()
-		out.SpansClosed += tr.Closed()
-		out.SpansDropped += tr.Dropped()
-		out.TraceLateEvents += tr.LateEvents()
-		if st.Dead() {
-			out.ControllerDead = true
-		}
-	}
-	return out
 }
 
 // TenantStats snapshots the per-tenant counters, or nil when the system was
